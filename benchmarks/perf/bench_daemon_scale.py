@@ -3,7 +3,7 @@
 The vectorised daemon core (struct-of-arrays member state, batch round
 stepping, matrix-free sparse worlds) exists so the simulated-time service
 scales by *population* without the per-step cost creeping up.  This
-benchmark pins that claim with three sections:
+benchmark pins that claim with two sections:
 
 * ``sweep`` — a static-membership ``random-probe`` (budget 32) daemon run
   at each population in the scale's sweep, built on
@@ -14,11 +14,6 @@ benchmark pins that claim with three sections:
   not grow with n.  ``per_step_cost_ratio`` divides the largest
   population's per-step cost by the smallest's — the committed paper
   baseline holds it <= 1.5, CI smoke holds <= 2 on the tiny scale.
-* ``scalar_speedup`` — the same workload at n=100k under a wide fan-out
-  (budget 256), timed under both steppers.  The scalar stepper pays one
-  loop event per probe; the batch stepper one per round — identical
-  timelines (the equivalence tests pin it), so the wall-clock ratio is
-  pure stepping overhead.
 * ``daemon_steady_1m`` — the registered ``daemon-steady`` spec (Poisson
   load, background churn) served at n=1,000,000, proving the full service
   path — membership events, FIFO queueing, time-weighted load accounting
@@ -79,11 +74,6 @@ SWEEP_SPEC = DaemonSpec(
 )
 
 SWEEP_BUDGET = 32
-#: Wide fan-out for the stepper shoot-out: with one loop event per probe
-#: the scalar stepper's bill is ~budget events/query, the batch stepper's
-#: ~3 — the ratio is the vectorisation win, not scheme work.
-SPEEDUP_BUDGET = 512
-SPEEDUP_N = 100_000
 
 
 def _build_daemon(
@@ -150,34 +140,6 @@ def sweep_point(n_hosts: int, seed: int, n_queries: int) -> dict:
     return row
 
 
-def scalar_speedup(seed: int, n_queries: int) -> dict:
-    timings = {}
-    for stepper in ("batch", "scalar"):
-        spec = DaemonSpec(
-            mean_interarrival_ms=SWEEP_SPEC.mean_interarrival_ms,
-            per_node_concurrency=SWEEP_SPEC.per_node_concurrency,
-            initial_fraction=SWEEP_SPEC.initial_fraction,
-            min_members=SWEEP_SPEC.min_members,
-            stepper=stepper,
-        )
-        daemon = _build_daemon(SPEEDUP_N, spec, SPEEDUP_BUDGET, seed)
-        row, _run = _timed_run(daemon, n_queries)
-        timings[stepper] = row
-        print(
-            f"  {stepper:>6}: serve {row['serve_s']:6.2f}s  "
-            f"{row['loop_events']} events"
-        )
-    speedup = timings["scalar"]["serve_s"] / timings["batch"]["serve_s"]
-    print(f"  batch speedup: {speedup:.1f}x")
-    return {
-        "n_hosts": SPEEDUP_N,
-        "budget": SPEEDUP_BUDGET,
-        "batch": timings["batch"],
-        "scalar": timings["scalar"],
-        "speedup": speedup,
-    }
-
-
 def daemon_steady_1m(seed: int, n_queries: int) -> dict:
     spec = get_scenario("daemon-steady").daemon
     start = time.perf_counter()
@@ -217,8 +179,6 @@ def run_suite(scale: str, seed: int) -> dict:
         "per_step_cost_ratio": ratio,
     }
     if scale == "paper":
-        print(f"stepper shoot-out (n={SPEEDUP_N:,}, budget {SPEEDUP_BUDGET})")
-        report["scalar_speedup"] = scalar_speedup(seed, n_queries)
         print("steady-state service at 1M peers")
         report["daemon_steady_1m"] = daemon_steady_1m(seed, n_queries)
     return report

@@ -57,9 +57,9 @@ class MaintenanceLedger:
     ring repair) accrue on the :attr:`background` bucket.
 
     The invariant ``sum(bills) + background == maintenance_probes_total``
-    holds at every flush boundary, independent of scheduling order,
-    stepper choice or shard layout — which is what replaces the daemon's
-    racy first-finisher claim with exact per-event accounting.
+    holds at every flush boundary, independent of scheduling order —
+    exact per-event accounting, unlike the daemon's first-finisher
+    per-query claims.
     """
 
     def __init__(self) -> None:
@@ -399,22 +399,16 @@ class NearestPeerAlgorithm(abc.ABC):
     the pre-scheduler code), while ``coalesce``/``lazy`` buffer events and
     apply their net effect later — see :meth:`_flush`.
 
-    Every scheme also answers *stepwise* through :meth:`query_plan` — the
-    sans-io protocol the simulated-time daemon drives, where each probe
-    fan-out is a round whose completion the driver times.  Schemes with
-    ``plan_native = True`` implement the rounds directly in :meth:`_plan`
-    (and derive ``_query`` from it); the rest go through the generic
-    record-and-replay adapter.
+    A scheme implements one search hook, the generator :meth:`_plan`: one
+    ``yield`` per probe fan-out.  The simulated-time daemon drives it
+    through :meth:`query_plan`, timing each round's completion; the
+    blocking :meth:`query` drives the same plan with no delay.
     """
 
     #: Human-readable scheme name (class attribute).
     name: str = "abstract"
     #: Declared membership-maintenance policy (class attribute).
     maintenance_policy: str = "rebuild"
-    #: Whether the scheme implements a native multi-round :meth:`_plan`
-    #: (class attribute).  Schemes without one still serve
-    #: :meth:`query_plan` through the generic record-and-replay adapter.
-    plan_native: bool = False
     #: Whether the scheme can refresh single index *regions* on demand
     #: (class attribute) — the ``lazy-partial`` discipline's fast path.
     #: Declaring True requires implementing :meth:`_region_is_fresh`,
@@ -432,7 +426,6 @@ class NearestPeerAlgorithm(abc.ABC):
         self._maintenance_probe_count = 0
         self._maintenance_since_query = 0
         self._in_maintenance = False
-        self._plan_recorder: list[ProbeRound] | None = None
         self.rebuild_count = 0
         self._scheduler = MaintenanceScheduler.from_spec(maintenance)
         # Event ids buffered since the last flush (ledger attribution).
@@ -908,39 +901,27 @@ class NearestPeerAlgorithm(abc.ABC):
     ) -> SearchResult:
         """Find the nearest member to ``target`` (not itself a member).
 
-        Under the ``lazy`` discipline a stale index is flushed first (the
-        deferred bill lands on this query's ``maintenance_probes``); under
-        ``coalesce`` the query answers from the bounded-staleness index —
-        it may return a recently departed member or miss a very recent
-        arrival, exactly the trade real batched-repair deployments make.
-        Under ``lazy-partial`` (on a supporting scheme) nothing is flushed
-        up front: the plan refreshes each region as it reads it
-        (:meth:`touch_region`), answering from a partially fresh index at
-        a region-sized bill instead of a full one.
+        Drives the plan :meth:`query_plan` would return to exhaustion
+        with no delay, so the blocking answer and the daemon's zero-delay
+        answer are the same code.  Under the ``lazy`` discipline a stale index is flushed
+        first (the deferred bill lands on this query's
+        ``maintenance_probes``); under ``coalesce`` the query answers from
+        the bounded-staleness index — it may return a recently departed
+        member or miss a very recent arrival, exactly the trade real
+        batched-repair deployments make.  Under ``lazy-partial`` (on a
+        supporting scheme) nothing is flushed up front: the plan refreshes
+        each region as it reads it (:meth:`touch_region`), answering from
+        a partially fresh index at a region-sized bill instead of a full
+        one.
         """
         if self._oracle is None or self._members is None:
             raise ConfigurationError(f"{self.name}: query() before build()")
-        rng = make_rng(seed)
-        if self._indexed_members is not None and self._must_flush_on_query:
-            self._flush(rng)
-        self._probe_count = 0
-        self._aux_probe_count = 0
-        stale_view = None if self.partial_mode else self._indexed_members
-        if stale_view is not None:
-            # Answer from the membership the index actually reflects.
-            live = self._members
-            self._members = stale_view
-            try:
-                result = self._query(int(target), rng)
-            finally:
-                self._members = live
-        else:
-            result = self._query(int(target), rng)
-        result.probes = self._probe_count
-        result.aux_probes = self._aux_probe_count
-        result.maintenance_probes = self._maintenance_since_query
-        self._maintenance_since_query = 0
-        return result
+        plan = self._drive_plan(int(target), make_rng(seed))
+        try:
+            while True:
+                plan.send(None)
+        except StopIteration as stop:
+            return stop.value
 
     @property
     def _must_flush_on_query(self) -> bool:
@@ -948,10 +929,6 @@ class NearestPeerAlgorithm(abc.ABC):
         return self._scheduler.flush_on_query or (
             self._scheduler.partial_on_query and not self.supports_partial_flush
         )
-
-    @abc.abstractmethod
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        """Subclass hook: the actual search."""
 
     # -- stepwise query protocol (sans-io) -------------------------------------
 
@@ -969,9 +946,8 @@ class NearestPeerAlgorithm(abc.ABC):
         channel; the driver decides when the round "completes" — after the
         simulated RTTs on the daemon's event loop, or immediately for an
         instantaneous driver.  Driving a fresh plan to exhaustion with no
-        delay reproduces :meth:`query` bit for bit (same rng draws, same
-        probes, same result) — the daemon's zero-delay regression anchors
-        on this.
+        delay *is* :meth:`query` — the daemon's zero-delay regression
+        anchors on this.
 
         Lazy-discipline flushes fire when the plan *starts* (its first
         ``send(None)``), mirroring the blocking query; under ``coalesce``
@@ -985,7 +961,7 @@ class NearestPeerAlgorithm(abc.ABC):
         return self._drive_plan(int(target), make_rng(seed))
 
     def _drive_plan(self, target: int, rng: np.random.Generator) -> QueryPlan:
-        """Wrap :meth:`_plan` with the bookkeeping :meth:`query` performs.
+        """Wrap :meth:`_plan` with the flush, stale-view and probe bookkeeping.
 
         Per-plan probe counters are swapped into the shared slots around
         every generator step, so concurrently in-flight plans (the daemon
@@ -1038,56 +1014,14 @@ class NearestPeerAlgorithm(abc.ABC):
         self._maintenance_since_query = 0
         return result
 
+    @abc.abstractmethod
     def _plan(self, target: int, rng: np.random.Generator) -> QueryPlan:
-        """Subclass hook: the stepwise search (generator).
+        """Subclass hook: the search, as a generator of probe rounds.
 
-        Converted schemes override this with a native multi-round plan —
-        one ``yield`` per probe fan-out, issuing the *same* probe calls in
-        the same order as the blocking search — and derive ``_query`` from
-        it via :meth:`_query_via_plan`, so the two code paths cannot
-        drift.
-
-        The default is the generic record-and-replay adapter for
-        unconverted schemes: it runs the blocking :meth:`_query` eagerly
-        (probes/noise/rng consumed exactly as a direct query would), with
-        every probe-channel call recorded as one round, then replays the
-        recorded rounds stepwise.  The timing a driver derives from the
-        replay is faithful — each blocking ``probe_many`` *was* one
-        parallel fan-out — but all measurements are taken at plan start
-        rather than spread over the rounds, so a stateful noisy oracle is
-        consumed up front.  Native plans interleave measurement with the
-        rounds and should be preferred for schemes whose round structure
-        matters.
+        One ``yield`` per probe fan-out (usually through
+        :meth:`_offer_round`), measuring only through the counted probe
+        channel, and finally ``return`` the :class:`SearchResult`.
         """
-        recorder: list[ProbeRound] = []
-        if self._plan_recorder is not None:
-            raise ConfigurationError(
-                f"{self.name}: recording plans cannot nest"
-            )
-        self._plan_recorder = recorder
-        try:
-            result = self._query(target, rng)
-        finally:
-            self._plan_recorder = None
-        for batch in recorder:
-            yield batch
-        return result
-
-    def _query_via_plan(
-        self, target: int, rng: np.random.Generator
-    ) -> SearchResult:
-        """Run a native :meth:`_plan` to completion with no delays.
-
-        Converted schemes implement ``_query`` as exactly this call, which
-        is what makes zero-delay plan driving bit-identical to the
-        blocking query: they are the same code.
-        """
-        plan = self._plan(target, rng)
-        try:
-            while True:
-                plan.send(None)
-        except StopIteration as stop:
-            return stop.value
 
     # -- probing --------------------------------------------------------------
 
@@ -1107,12 +1041,7 @@ class NearestPeerAlgorithm(abc.ABC):
         """Measure RTT between a member and the target (counted, noisy)."""
         self._probe_count += 1
         assert self._probe_oracle is not None
-        value = self._probe_oracle.latency_ms(node, target)
-        if self._plan_recorder is not None:
-            self._plan_recorder.append(
-                ProbeRound([int(node)], int(target), [float(value)])
-            )
-        return value
+        return self._probe_oracle.latency_ms(node, target)
 
     def probe_many(
         self, nodes: np.ndarray | list[int], target: int
@@ -1145,17 +1074,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty((rows.size, cols.size), dtype=float)
         self._probe_count += int(rows.size * cols.size)
         assert self._probe_oracle is not None
-        block = batch_latency_block(self._probe_oracle, rows, cols)
-        if self._plan_recorder is not None:
-            # Row-major flattening matches the historical per-op order.
-            self._plan_recorder.append(
-                ProbeRound(
-                    np.repeat(rows, cols.size),
-                    np.tile(cols, rows.size),
-                    block.ravel(),
-                )
-            )
-        return block
+        return batch_latency_block(self._probe_oracle, rows, cols)
 
     def aux_probe(self, a: int, b: int) -> float:
         """Measure RTT between two non-target nodes at query time.
@@ -1166,12 +1085,7 @@ class NearestPeerAlgorithm(abc.ABC):
         """
         self._aux_probe_count += 1
         assert self._probe_oracle is not None
-        value = self._probe_oracle.latency_ms(a, b)
-        if self._plan_recorder is not None:
-            self._plan_recorder.append(
-                ProbeRound([int(a)], [int(b)], [float(value)], kind="aux")
-            )
-        return value
+        return self._probe_oracle.latency_ms(a, b)
 
     def aux_probe_many(
         self, a: int, nodes: np.ndarray | list[int]
@@ -1186,12 +1100,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty(0, dtype=float)
         self._aux_probe_count += int(nodes.size)
         assert self._probe_oracle is not None
-        values = batch_latencies_from(self._probe_oracle, int(a), nodes)
-        if self._plan_recorder is not None:
-            self._plan_recorder.append(
-                ProbeRound(np.full(nodes.size, int(a)), nodes, values, kind="aux")
-            )
-        return values
+        return batch_latencies_from(self._probe_oracle, int(a), nodes)
 
     def offline_distances_from(self, node: int) -> np.ndarray:
         """RTTs from ``node`` to every member, for *build/maintenance* use.
@@ -1269,7 +1178,7 @@ class NearestPeerAlgorithm(abc.ABC):
         lines up 1:1 with the daemon's membership-event sequence.  Unlike
         the per-query ``maintenance_probes`` claim — which depends on
         which in-flight query finishes first — these bills are invariant
-        to scheduling order, stepper choice and shard layout.
+        to scheduling order.
         """
         return self._scheduler.ledger.bills()
 

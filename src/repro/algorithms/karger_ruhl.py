@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
+from repro.algorithms.base import NearestPeerAlgorithm
 from repro.util.validate import require_positive
 
 
@@ -47,7 +47,6 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
 
     name = "karger-ruhl"
     maintenance_policy = "rebuild"
-    plan_native = True
     supports_partial_flush = True
 
     def __init__(
@@ -171,6 +170,3 @@ class KargerRuhlSearch(NearestPeerAlgorithm):
             else:
                 break
         return self.result(target, measured, hops=len(path) - 1, path=path)
-
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)

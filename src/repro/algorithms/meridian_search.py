@@ -37,7 +37,6 @@ class MeridianSearch(NearestPeerAlgorithm):
 
     name = "meridian"
     maintenance_policy = "incremental"
-    plan_native = True
 
     def __init__(
         self,
@@ -198,6 +197,3 @@ class MeridianSearch(NearestPeerAlgorithm):
             hops=len(path) - 1,
             path=path,
         )
-
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
+from repro.algorithms.base import NearestPeerAlgorithm
 from repro.coords.gnp import GnpConfig, GnpEmbedding, _solve_point
 from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
 from repro.util.validate import require_positive
@@ -37,7 +37,6 @@ class _CoordinateGreedyBase(NearestPeerAlgorithm):
     """
 
     maintenance_policy = "incremental"
-    plan_native = True
 
     def __init__(
         self,
@@ -204,9 +203,6 @@ class _CoordinateGreedyBase(NearestPeerAlgorithm):
         if not measured and finalists:  # every finalist probe was lost
             return self.no_answer(target)
         return self.result(target, measured, hops=hops, path=ranked)
-
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)
 
 
 class PicSearch(_CoordinateGreedyBase):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.base import NearestPeerAlgorithm, SearchResult
+from repro.algorithms.base import NearestPeerAlgorithm
 from repro.util.validate import require_positive
 
 
@@ -47,7 +47,6 @@ class TiersSearch(NearestPeerAlgorithm):
 
     name = "tiers"
     maintenance_policy = "incremental"
-    plan_native = True
 
     def __init__(
         self, branching: int = 12, max_levels: int = 12, maintenance=None
@@ -222,6 +221,3 @@ class TiersSearch(NearestPeerAlgorithm):
         if not measured:  # every probe of the descent was lost
             return self.no_answer(target)
         return self.result(target, measured, hops=len(path), path=path)
-
-    def _query(self, target: int, rng: np.random.Generator) -> SearchResult:
-        return self._query_via_plan(target, rng)

@@ -411,18 +411,10 @@ class DaemonSpec:
     ring_repair_period_ms: float | None = None
     #: Instantaneous probe delivery (testing / equivalence runs).
     zero_delay: bool = False
-    #: Plan-stepping strategy: ``"batch"`` resumes each round with one
-    #: vectorised round-completion event (the scaled path); ``"scalar"``
-    #: delivers one loop event per probe (the historical reference).  Both
-    #: produce identical timelines — the equivalence tests pin it.
-    stepper: str = "batch"
     #: Bill the coordination hop: asking peer *p* to probe the target
     #: costs the entry->p RTT, drawn through the network's vectorised path
     #: draw, on top of the probe RTT.  Off by default so goldens hold.
     charge_dispatch: bool = False
-    #: Event-loop shards (process fan-out over entry-node id ranges);
-    #: ``1`` keeps the serial loop.
-    shards: int = 1
     #: Network-fault configuration (``None`` = the perfect network).
     faults: FaultSpec | None = None
     #: Observability configuration (``None`` = tracing off: no tracer is
@@ -435,12 +427,6 @@ class DaemonSpec:
 
     def __post_init__(self) -> None:
         require_positive(self.mean_interarrival_ms, "mean_interarrival_ms")
-        if self.stepper not in ("batch", "scalar"):
-            raise ConfigurationError(
-                f"stepper must be 'batch' or 'scalar', got {self.stepper!r}"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         require_positive(self.per_node_concurrency, "per_node_concurrency")
         require_in_range(self.initial_fraction, "initial_fraction", 0.0, 1.0)
         if self.min_members < 2:

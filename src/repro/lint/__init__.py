@@ -3,7 +3,7 @@
 The reproduction's methodology rests on invariants nothing enforces at
 runtime: every probe is billed (the paper's cost axis), every outcome is a
 pure function of explicit seeds (common-random-number comparisons,
-shard/stepper invariance, fault-stream separation), and every query plan
+fault-stream separation), and every query plan
 is sans-io (the daemon's simulated timeline).  This package turns those
 conventions into machine-checked rules over the stdlib ``ast`` — no new
 runtime dependencies.

@@ -200,7 +200,7 @@ class FaultModel:
         ``relay_extra_ms``).  Draw shape per round is fixed at
         ``(max_retransmits + 1, k)`` so the fault stream's consumption
         depends only on the round sizes — not on the outcomes — keeping
-        timelines invariant to stepper choice and shard layout.
+        each job's timeline independent of how jobs interleave.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)

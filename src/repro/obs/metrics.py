@@ -1,18 +1,12 @@
 """Breakpoint-backed metrics sampled on simulated-time intervals.
 
-The daemon's hot path already records the exact change-points of its
-load curves — (time, ±k) breakpoints for queue depth and in-flight
-probes (kept for cross-shard peak merging).  The registry generalises
-that representation: a :class:`Counter` or :class:`Gauge` is a list of
-timestamped deltas, and *sampling* is a single vectorised
-sort/cumsum/searchsorted pass at finalize — nothing runs on the event
-loop, so metrics collection adds no loop events, consumes no rng, and
-cannot perturb the timeline it measures.
-
-Because a sampled value at time ``t`` is just the integer sum of all
-deltas with timestamp ``<= t``, sampling commutes with concatenating
-shard breakpoint streams: the merged registry's series are bit-identical
-to the unsharded run's (the shard-invariance tests pin it).
+The daemon records the exact change-points of its load curves — (time,
+±k) breakpoints for in-flight probes, and for queue depth when tracing.
+The registry generalises that representation: a :class:`Counter` or
+:class:`Gauge` is a list of timestamped deltas, and *sampling* is a
+single vectorised sort/cumsum/searchsorted pass at finalize — nothing
+runs on the event loop, so metrics collection adds no loop events,
+consumes no rng, and cannot perturb the timeline it measures.
 
 :class:`Histogram` is the fixed-bucket distribution companion (flush
 sizes, round fan-outs); :class:`TimeSeriesBlock` is the JSON-friendly
@@ -66,8 +60,7 @@ class _BreakpointSeries:
         """Value at each sample instant (deltas at exactly ``t`` included).
 
         Integer prefix sums are order-independent within a timestamp, so
-        the result does not depend on how tied breakpoints interleave —
-        the property that makes shard-merged series exact.
+        the result does not depend on how tied breakpoints interleave.
         """
         times, running = self._compiled()
         sample_times_ms = np.asarray(sample_times_ms, dtype=float)
@@ -76,10 +69,6 @@ class _BreakpointSeries:
             idx = np.searchsorted(times, sample_times_ms, side="right")
             np.copyto(out, running[idx - 1], where=idx > 0)
         return out
-
-    def _adopt(self, other: "_BreakpointSeries") -> None:
-        self._times.extend(other._times)
-        self._deltas.extend(other._deltas)
 
 
 class Counter(_BreakpointSeries):
@@ -104,7 +93,7 @@ class Histogram:
     """Fixed-bucket distribution: ``len(edges) + 1`` counts, last = overflow.
 
     Bucket ``i`` holds values in ``[edges[i-1], edges[i])`` (bucket 0 is
-    ``(-inf, edges[0])``); merging requires identical edges.
+    ``(-inf, edges[0])``).
     """
 
     def __init__(self, edges: np.ndarray | list[float]) -> None:
@@ -177,25 +166,6 @@ class MetricsRegistry:
             times_ms=sample_times_ms, series=series, histograms=histograms
         )
 
-    @classmethod
-    def merge(cls, registries: list["MetricsRegistry"]) -> "MetricsRegistry":
-        """Pool shard registries: breakpoints concatenate, buckets sum."""
-        merged = cls()
-        for registry in registries:
-            for name, counter in registry._counters.items():
-                merged.counter(name)._adopt(counter)
-            for name, gauge in registry._gauges.items():
-                merged.gauge(name)._adopt(gauge)
-            for name, hist in registry._histograms.items():
-                target = merged.histogram(name, hist.edges)
-                if not np.array_equal(target.edges, hist.edges):
-                    raise DataError(
-                        f"histogram {name!r} bucket edges disagree across "
-                        "registries"
-                    )
-                target.counts += hist.counts
-        return merged
-
 
 @dataclass
 class TimeSeriesBlock:
@@ -232,9 +202,8 @@ PROBE_COUNT_EDGES = tuple(float(2**k) for k in range(15))
 def populate_span_histograms(registry: MetricsRegistry, spans) -> None:
     """Fill the distribution instruments from a *finished* span stream.
 
-    Built post-hoc — after the sharded merge, which deduplicates the
-    replicated maintenance spans — so summing shard histograms can never
-    double count a flush.  ``spans`` is any iterable of
+    Built post-hoc from the sorted stream, so nothing on the event loop
+    pays for it.  ``spans`` is any iterable of
     :class:`~repro.obs.trace.Span`-shaped objects.
     """
     rounds = registry.histogram("round_probes", PROBE_COUNT_EDGES)

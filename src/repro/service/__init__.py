@@ -19,11 +19,11 @@ the :mod:`repro.netsim` event loop:
   interleaved between query rounds.
 
 The daemon core is vectorised: hot per-node state lives in
-struct-of-arrays form (:mod:`repro.service.soa`), probe rounds step as
-whole numpy batches (:mod:`repro.service.stepper`), and a run can be
-partitioned across a process pool by entry-node range
-(:mod:`repro.service.sharded`), which is what carries the simulator to
-million-peer populations.
+struct-of-arrays form (:mod:`repro.service.soa`) and probe rounds step
+as whole numpy batches (:mod:`repro.service.stepper`), which is what
+carries the simulator to million-peer populations.  Parallelism comes
+from running independent trials side by side
+(``QueryEngine(workers=...)``), not from splitting one run.
 
 The harness front-end is the ``daemon`` protocol
 (:meth:`repro.harness.engine.QueryEngine.run_daemon_trial`), which scores
@@ -32,17 +32,13 @@ the run and wraps it in a
 percentiles next to the classic probe bill.
 """
 
-from repro.service.daemon import DaemonRun, DaemonScript, QueryDaemon
-from repro.service.sharded import run_sharded_daemon
+from repro.service.daemon import DaemonRun, QueryDaemon
 from repro.service.soa import MemberStateArrays
-from repro.service.stepper import PlanBatchStepper, ScalarStepper
+from repro.service.stepper import PlanBatchStepper
 
 __all__ = [
     "DaemonRun",
-    "DaemonScript",
     "MemberStateArrays",
     "PlanBatchStepper",
     "QueryDaemon",
-    "ScalarStepper",
-    "run_sharded_daemon",
 ]

@@ -1,37 +1,18 @@
-"""Plan-stepping strategies for the query daemon.
+"""Plan round stepping for the query daemon.
 
 The daemon resumes a query plan when its current probe round completes.
-Two interchangeable steppers decide how that completion is simulated:
+:class:`PlanBatchStepper` simulates that completion in one step: a
+round's delays are one numpy array (the
+:class:`~repro.algorithms.base.ProbeRound` the plan yielded already
+carries them struct-of-arrays), the plan resumes on a *single*
+round-completion event at the slowest probe's arrival, and the
+in-flight integral is accrued analytically.  O(rounds) loop events, not
+O(probes).
 
-* :class:`ScalarStepper` — the historical path: one loop event per probe,
-  delivered through :meth:`~repro.netsim.network.Network.deliver_many`,
-  the plan resuming on the round's last reply.  O(probes) events.
-* :class:`PlanBatchStepper` — the vectorised path: a round's delays are
-  one numpy array (the :class:`~repro.algorithms.base.ProbeRound` the
-  plan yielded already carries them struct-of-arrays), the plan resumes
-  on a *single* round-completion event at the slowest probe's arrival,
-  and the in-flight integral is accrued analytically.  O(rounds) events.
-
-The two are timeline-identical by construction: the scalar round's reply
-events occupy a contiguous sequence-number block on the loop (scheduled
-back-to-back by ``deliver_many``), every other event sorts strictly
-before or after that whole block, and the plan advances during the last
-reply at ``t + max(delays)`` — exactly when the batch stepper's one event
-fires.  The equivalence tests compare full run records for all seven
-schemes.  Because the timelines match event for event, membership events
-fire in the same order under either stepper, so the per-event
-maintenance ledger (``DaemonRun.maintenance_by_event``) is
-stepper-invariant by construction — unlike the per-job
-``maintenance_probes`` claims, which depend on which in-flight plan
-finishes first and are exact only in aggregate.
-
-In-flight probe accounting differs only in mechanics.  The scalar path
-integrates the count at every ±1 transition; the batch path adds each
-round's ``sum(delays)`` to the area (each probe is in flight for exactly
-its delay) and reconstructs the peak from the recorded (time, ±k)
-breakpoints in one vectorised sort/cumsum at the end.  Same integral —
-summed in a different float order, so averages agree to rounding rather
-than bit-for-bit.
+In-flight probe accounting: each round adds ``sum(delays)`` to the area
+(each probe is in flight for exactly its delay), and the peak is
+reconstructed from the recorded (time, ±k) breakpoints in one
+vectorised sort/cumsum at the end.
 """
 
 from __future__ import annotations
@@ -41,8 +22,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.algorithms.base import ProbeRound
-from repro.netsim.network import Message
-from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.daemon import QueryDaemon, QueryJob
@@ -83,11 +62,8 @@ def round_outcome(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
     job for the next plan resume, and the drop/retransmit/timeout/relay
     counters are billed to both the job and the network.
 
-    Both steppers call this at dispatch, so the delays array — and with
-    it the round-completion instant — is identical under either stepper;
-    and because the job's fault stream is consumed strictly in the job's
-    own round order, the outcome is invariant to cross-job interleaving
-    and shard layout too.
+    Because the job's fault stream is consumed strictly in the job's own
+    round order, the outcome is invariant to cross-job interleaving.
     """
     delays = round_delays(daemon, job, batch)
     fault_model = daemon.fault_model
@@ -134,57 +110,6 @@ def round_outcome(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
     return delays
 
 
-class ScalarStepper:
-    """One loop event per probe — the PR 5 reference semantics."""
-
-    def __init__(self, daemon: "QueryDaemon") -> None:
-        self.daemon = daemon
-        self.area = 0.0
-        self.peak = 0
-        self._count = 0
-        self._last = 0.0
-        # (time, ±1) breakpoints for exact cross-shard peak merging.
-        self.bp_times: list[np.ndarray] = []
-        self.bp_deltas: list[np.ndarray] = []
-
-    def _note(self, delta: int) -> None:
-        now = self.daemon.loop.now
-        self.area += self._count * (now - self._last)
-        self._last = now
-        self._count += delta
-        if self._count > self.peak:
-            self.peak = self._count
-        if delta:
-            self.bp_times.append(np.array([now]))
-            self.bp_deltas.append(np.array([delta]))
-
-    def dispatch_round(self, job: "QueryJob", batch) -> None:
-        daemon = self.daemon
-        delays = round_outcome(daemon, job, batch)
-        job._outstanding = len(batch)
-        self._note(+len(batch))
-        messages = [
-            Message(
-                src=op.src,
-                dst=daemon._coordinator_id,
-                kind="probe-reply",
-                payload=job,
-            )
-            for op in batch
-        ]
-        daemon.network.deliver_many(messages, delays)
-
-    def on_probe_reply(self, job: "QueryJob") -> None:
-        self._note(-1)
-        job._outstanding -= 1
-        if job._outstanding == 0:
-            self.daemon._advance(job)
-
-    def finalize(self) -> None:
-        """Close the time-weighted integral at the loop's final time."""
-        self._note(0)
-
-
 class PlanBatchStepper:
     """One loop event per probe *round* — the vectorised path.
 
@@ -201,9 +126,9 @@ class PlanBatchStepper:
         self.peak = 0
         # (time, delta) breakpoints: +k at each round's issue instant,
         # -1 at each probe's arrival.  Peak in-flight is reconstructed in
-        # one vectorised pass at finalize; insertion order doubles as the
-        # scalar path's tie-breaking sequence order (rounds append their
-        # issue before their arrivals, in issue order).
+        # one vectorised pass at finalize; on tied times insertion order
+        # decides (rounds append their issue before their arrivals, in
+        # issue order).
         self.bp_times: list[np.ndarray] = []
         self.bp_deltas: list[np.ndarray] = []
 
@@ -221,21 +146,10 @@ class PlanBatchStepper:
         # The round completes with its slowest probe.
         daemon.loop.schedule(float(delays.max()), daemon._advance, job)
 
-    def on_probe_reply(self, job: "QueryJob") -> None:
-        raise SimulationError(
-            "the batch stepper delivers no per-probe replies"
-        )
-
     def finalize(self) -> None:
-        self.peak = peak_from_breakpoints(self.bp_times, self.bp_deltas)
-
-
-def peak_from_breakpoints(
-    times: list[np.ndarray], deltas: list[np.ndarray]
-) -> int:
-    """Max running sum of ±k deltas ordered by time (stable on ties)."""
-    if not times:
-        return 0
-    order = np.argsort(np.concatenate(times), kind="stable")
-    running = np.cumsum(np.concatenate(deltas)[order])
-    return int(running.max()) if running.size else 0
+        """Peak in-flight: max running sum of the breakpoints by time."""
+        if not self.bp_times:
+            return
+        order = np.argsort(np.concatenate(self.bp_times), kind="stable")
+        running = np.cumsum(np.concatenate(self.bp_deltas)[order])
+        self.peak = int(running.max())

@@ -13,7 +13,7 @@ from repro.algorithms import (
     TiersSearch,
     VivaldiGreedySearch,
 )
-from repro.algorithms.base import NearestPeerAlgorithm
+from repro.algorithms.base import NearestPeerAlgorithm, ProbeRound
 from repro.topology.oracle import MatrixOracle, NoisyOracle
 from repro.util.errors import ConfigurationError
 
@@ -76,15 +76,17 @@ class _BeaconChattySearch(NearestPeerAlgorithm):
     name = "beacon-chatty"
 
     def _build(self, rng):
-        self._anchors = self.members[:3]
+        self._anchors = [int(m) for m in self.members[:3]]
 
-    def _query(self, target, rng):
-        self.aux_probe(int(self._anchors[0]), int(self._anchors[1]))
-        self.aux_probe(int(self._anchors[1]), int(self._anchors[2]))
-        measured = {
-            int(m): self.probe(int(m), target) for m in self._anchors
-        }
-        return self.result(target, measured)
+    def _plan(self, target, rng):
+        a, b, c = self._anchors
+        aux = [self.aux_probe(a, b), self.aux_probe(b, c)]
+        yield ProbeRound([a, b], [b, c], aux, kind="aux")
+        values = [self.probe(m, target) for m in self._anchors]
+        kept, values, _ = yield from self._offer_round(
+            self._anchors, target, values
+        )
+        return self.result(target, dict(zip(kept, values.tolist())))
 
 
 class TestAuxProbeAccounting:

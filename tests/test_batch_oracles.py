@@ -279,13 +279,19 @@ class TestProbeAccounting:
         transpose — observable with an asymmetric oracle."""
 
         class _NullSearch(NearestPeerAlgorithm):
+            """One batched round from members 1 and 2, nothing else."""
+
             name = "null"
 
             def _build(self, rng):
                 pass
 
-            def _query(self, target, rng):
-                raise NotImplementedError
+            def _plan(self, target, rng):
+                values = self.probe_many([1, 2], target)
+                kept, values, _ = yield from self._offer_round(
+                    [1, 2], target, values
+                )
+                return self.result(target, dict(zip(kept, values.tolist())))
 
         asym = np.arange(25, dtype=float).reshape(5, 5)
         np.fill_diagonal(asym, 0.0)
@@ -295,6 +301,11 @@ class TestProbeAccounting:
         scalar = [algorithm.probe(1, 4), algorithm.probe(2, 4)]
         assert batched.tolist() == scalar
         assert batched.tolist() == [asym[1, 4], asym[2, 4]]
+        # The query path measures in the same direction: the answer is
+        # the member with the smaller latency_ms(member, target).
+        result = algorithm.query(4, seed=0)
+        assert (result.found, result.found_latency_ms) == (1, asym[1, 4])
+        assert result.probes == 2
 
     def test_batch_and_scalar_probe_paths_agree(self, matrix):
         members = np.arange(8)

@@ -1,13 +1,12 @@
-"""Tests for the vectorised daemon core: batch stepper, SoA state, shards.
+"""Tests for the vectorised daemon core: batch stepper and SoA state.
 
-Three equivalence obligations anchor the PR 6 refactor:
+Two equivalence obligations anchor the vectorised core:
 
 * the batch stepper (one event per probe round) must reproduce the
-  scalar stepper's (one event per probe) run record exactly, for every
-  scheme — the timeline argument is that a scalar round's replies occupy
-  a contiguous heap block and the plan advances on the last of them;
-* the sharded driver must produce answers and timelines invariant to the
-  shard count at a fixed seed;
+  per-probe reference stepper's run record exactly (the
+  ``scalar_stepper`` fixture, one event per probe), for every scheme —
+  the timeline argument is that a reference round's replies occupy a
+  contiguous heap block and the plan advances on the last of them;
 * the struct-of-arrays admission counters must mirror what the
   historical dict bookkeeping would have held, reconstructed here from
   the job timelines.
@@ -31,7 +30,6 @@ from repro.algorithms import (
 from repro.harness import DaemonSpec, QueryEngine, SamplingSpec
 from repro.latency.builder import build_clustered_oracle, build_sparse_clustered_world
 from repro.topology.clustered import ClusteredConfig
-from repro.util.errors import ConfigurationError
 
 SMALL = ClusteredConfig(n_clusters=6, end_networks_per_cluster=20, delta=0.2)
 
@@ -76,11 +74,10 @@ class TestBatchScalarEquivalence:
     """The vectorised stepper is bit-identical to the per-probe reference."""
 
     @pytest.mark.parametrize("name,factory", SCHEMES, ids=[s[0] for s in SCHEMES])
-    def test_full_record_matches(self, small_world, name, factory):
+    def test_full_record_matches(self, small_world, name, factory, scalar_stepper):
         batch = run_daemon(small_world, factory, CHURN_SPEC)
-        scalar = run_daemon(
-            small_world, factory, dataclasses.replace(CHURN_SPEC, stepper="scalar")
-        )
+        with scalar_stepper():
+            scalar = run_daemon(small_world, factory, CHURN_SPEC)
         assert np.array_equal(batch.targets, scalar.targets)
         assert np.array_equal(batch.found, scalar.found)
         assert np.array_equal(batch.probes, scalar.probes)
@@ -102,149 +99,40 @@ class TestBatchScalarEquivalence:
         # The batch path does it in O(rounds) events, not O(probes).
         assert batch.makespan_ms > 0
 
-    def test_zero_delay_equivalence_under_batch(self, small_world):
+    def test_zero_delay_equivalence_under_batch(self, small_world, scalar_stepper):
         """zero_delay collapses both steppers onto the blocking timeline."""
         spec = dataclasses.replace(CHURN_SPEC, zero_delay=True)
         batch = run_daemon(small_world, lambda: RandomProbeSearch(budget=8), spec)
-        scalar = run_daemon(
-            small_world,
-            lambda: RandomProbeSearch(budget=8),
-            dataclasses.replace(spec, stepper="scalar"),
-        )
+        with scalar_stepper():
+            scalar = run_daemon(
+                small_world, lambda: RandomProbeSearch(budget=8), spec
+            )
         assert np.array_equal(batch.found, scalar.found)
         assert np.array_equal(batch.finish_ms, scalar.finish_ms)
         assert batch.in_flight_probes_max == scalar.in_flight_probes_max
 
 
-class TestShardInvariance:
-    """Sharded runs are deterministic and invariant to the shard count."""
-
-    @pytest.fixture(scope="class")
-    def records(self, small_world):
-        return {
-            shards: run_daemon(
-                small_world,
-                lambda: RandomProbeSearch(budget=8),
-                dataclasses.replace(CHURN_SPEC, shards=shards),
-                n_queries=40,
-                seed=11,
-            )
-            for shards in (2, 3, 5)
-        }
-
-    def test_answers_and_timelines_invariant(self, records):
-        base = records[2]
-        for shards in (3, 5):
-            other = records[shards]
-            assert np.array_equal(base.targets, other.targets)
-            assert np.array_equal(base.found, other.found)
-            assert np.array_equal(base.probes, other.probes)
-            assert np.array_equal(base.arrival_ms, other.arrival_ms)
-            assert np.array_equal(base.start_ms, other.start_ms)
-            assert np.array_equal(base.finish_ms, other.finish_ms)
-            assert np.array_equal(base.exact_hit, other.exact_hit)
-
-    def test_tta_percentiles_invariant(self, records):
-        ttas = {
-            shards: np.percentile(record.time_to_answer_ms, [50, 95, 99])
-            for shards, record in records.items()
-        }
-        assert np.array_equal(ttas[2], ttas[3])
-        assert np.array_equal(ttas[2], ttas[5])
-
-    def test_load_metrics_merge_consistently(self, records):
-        base = records[2]
-        for shards in (3, 5):
-            other = records[shards]
-            assert base.queue_depth_max == other.queue_depth_max
-            assert base.in_flight_probes_max == other.in_flight_probes_max
-            assert np.isclose(
-                base.queue_depth_time_avg, other.queue_depth_time_avg
-            )
-            assert np.isclose(
-                base.in_flight_probes_time_avg, other.in_flight_probes_time_avg
-            )
-
-    def test_fresh_seed_shard_stepper_cross_product(self, small_world):
-        """Regression for the ordered-iteration (R5) audit of service/netsim.
-
-        The audit found no set-ordered loops in either package; this pins
-        the invariant the rule protects at a seed and scheme the fixtures
-        above don't use: within each driver the run record must be
-        identical whether the loop is batch- or scalar-stepped, and the
-        sharded driver's record must be invariant to the shard count.
-        (The unsharded loop and the sharded script pre-draw the workload
-        differently, so streams are only comparable within a driver.)
-        """
-        records = {
-            (shards, stepper): run_daemon(
-                small_world,
-                lambda: TiersSearch(branching=8),
-                dataclasses.replace(CHURN_SPEC, shards=shards, stepper=stepper),
-                n_queries=30,
-                seed=23,
-            )
-            for shards in (1, 2, 4)
-            for stepper in ("batch", "scalar")
-        }
-        pairs = [
-            ((1, "batch"), (1, "scalar")),  # stepper, unsharded driver
-            ((4, "batch"), (4, "scalar")),  # stepper, sharded driver
-            ((2, "batch"), (4, "batch")),  # shard count
-        ]
-        for left, right in pairs:
-            base, other = records[left], records[right]
-            assert np.array_equal(base.targets, other.targets), (left, right)
-            assert np.array_equal(base.found, other.found), (left, right)
-            assert np.array_equal(base.probes, other.probes), (left, right)
-            assert np.array_equal(base.finish_ms, other.finish_ms), (left, right)
-            assert base.n_churn_events == other.n_churn_events, (left, right)
-
-    def test_sharded_rejects_probe_noise(self, small_world):
-        from repro.harness import NoiseSpec
-
-        with pytest.raises(ConfigurationError, match="noise"):
-            QueryEngine().run_daemon_trial(
-                small_world,
-                RandomProbeSearch(budget=8),
-                dataclasses.replace(CHURN_SPEC, shards=2),
-                sampling=SamplingSpec(n_targets=30),
-                n_queries=10,
-                seed=11,
-                noise=NoiseSpec(sigma=0.1),
-            )
-
-    def test_sharded_rejects_deferred_maintenance(self, small_world):
-        with pytest.raises(ConfigurationError, match="eager"):
-            QueryEngine().run_daemon_trial(
-                small_world,
-                RandomProbeSearch(budget=8, maintenance="lazy"),
-                dataclasses.replace(CHURN_SPEC, shards=2),
-                sampling=SamplingSpec(n_targets=30),
-                n_queries=10,
-                seed=11,
-            )
-
-
 class TestMaintenanceByEvent:
     """The per-event ledger replaces the racy first-finisher claim: bills
     are exact (they sum to the run's total maintenance) and invariant to
-    stepper choice and shard count, which the per-query
-    ``maintenance_probes`` claims never were."""
+    stepper choice, which the per-query ``maintenance_probes`` claims
+    never were."""
 
     @pytest.fixture(scope="class")
-    def records(self, small_world):
-        return {
-            (shards, stepper): run_daemon(
+    def records(self, small_world, scalar_stepper):
+        def run():
+            return run_daemon(
                 small_world,
                 lambda: TiersSearch(branching=8),
-                dataclasses.replace(CHURN_SPEC, shards=shards, stepper=stepper),
+                CHURN_SPEC,
                 n_queries=30,
                 seed=23,
             )
-            for shards in (1, 2, 5)
-            for stepper in ("batch", "scalar")
-        }
+
+        batch = run()
+        with scalar_stepper():
+            scalar = run()
+        return {"batch": batch, "scalar": scalar}
 
     def test_bills_are_exact_in_every_configuration(self, records):
         for key, record in records.items():
@@ -256,24 +144,21 @@ class TestMaintenanceByEvent:
                 == record.total_maintenance_probes
             ), key
 
-    def test_bills_invariant_to_stepper_and_shard_count(self, records):
-        # The unsharded loop and the sharded script pre-draw the workload
-        # differently, so ledgers are comparable within a driver: the
-        # stepper must never change a bill, nor must the shard count.
-        pairs = [
-            ((1, "batch"), (1, "scalar")),
-            ((2, "batch"), (2, "scalar")),
-            ((2, "batch"), (5, "batch")),
-            ((2, "scalar"), (5, "scalar")),
-        ]
-        for left, right in pairs:
-            assert np.array_equal(
-                records[left].maintenance_by_event,
-                records[right].maintenance_by_event,
-            ), (left, right)
+    def test_bills_invariant_to_stepper(self, records):
+        # A fresh seed and scheme for the stepper pin: the stepper must
+        # change no answer, timeline or bill.
+        batch, scalar = records["batch"], records["scalar"]
+        assert np.array_equal(batch.targets, scalar.targets)
+        assert np.array_equal(batch.found, scalar.found)
+        assert np.array_equal(batch.probes, scalar.probes)
+        assert np.array_equal(batch.finish_ms, scalar.finish_ms)
+        assert batch.n_churn_events == scalar.n_churn_events
+        assert np.array_equal(
+            batch.maintenance_by_event, scalar.maintenance_by_event
+        )
 
     def test_per_event_metric_prefers_the_ledger(self, records):
-        record = records[(1, "batch")]
+        record = records["batch"]
         if record.n_churn_events == 0:
             pytest.skip("workload produced no events at this seed")
         assert record.maintenance_probes_per_event == pytest.approx(
@@ -402,14 +287,13 @@ class TestDispatchCharging:
         ).all()
         assert charged.time_to_answer_ms.sum() > base.time_to_answer_ms.sum()
 
-    def test_charged_batch_matches_charged_scalar(self, small_world):
+    def test_charged_batch_matches_charged_scalar(self, small_world, scalar_stepper):
         spec = dataclasses.replace(CHURN_SPEC, charge_dispatch=True)
         batch = run_daemon(small_world, lambda: RandomProbeSearch(budget=8), spec)
-        scalar = run_daemon(
-            small_world,
-            lambda: RandomProbeSearch(budget=8),
-            dataclasses.replace(spec, stepper="scalar"),
-        )
+        with scalar_stepper():
+            scalar = run_daemon(
+                small_world, lambda: RandomProbeSearch(budget=8), spec
+            )
         assert np.array_equal(batch.finish_ms, scalar.finish_ms)
         assert np.array_equal(batch.found, scalar.found)
 
@@ -503,20 +387,11 @@ class TestMidFlightChurn:
 
 
 class TestDaemonSpecValidation:
-    def test_rejects_unknown_stepper(self):
-        with pytest.raises(ConfigurationError):
-            DaemonSpec(stepper="quantum")
-
-    def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ConfigurationError):
-            DaemonSpec(shards=0)
-
-    def test_vivaldi_greedy_batch_scalar_equivalence(self, small_world):
+    def test_vivaldi_greedy_batch_scalar_equivalence(
+        self, small_world, scalar_stepper
+    ):
         batch = run_daemon(small_world, VivaldiGreedySearch, CHURN_SPEC)
-        scalar = run_daemon(
-            small_world,
-            VivaldiGreedySearch,
-            dataclasses.replace(CHURN_SPEC, stepper="scalar"),
-        )
+        with scalar_stepper():
+            scalar = run_daemon(small_world, VivaldiGreedySearch, CHURN_SPEC)
         assert np.array_equal(batch.found, scalar.found)
         assert np.array_equal(batch.finish_ms, scalar.finish_ms)

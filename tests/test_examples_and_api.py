@@ -1,7 +1,6 @@
 """Smoke tests: the public API surface and the example scripts."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -27,7 +27,7 @@ from repro.netsim.engine import EventLoop
 from repro.netsim.network import FaultModel, Network
 from repro.topology.clustered import ClusteredConfig
 from repro.topology.oracle import MatrixOracle, NoisyOracle
-from repro.util.errors import SimulationError
+from repro.util.errors import ConfigurationError, SimulationError
 
 
 class TestDhtChurn:
@@ -329,20 +329,44 @@ class TestDaemonLossyFanout:
         assert lossy.tta_mean_ms > clean.tta_mean_ms
         assert 0.0 <= lossy.availability <= 1.0
 
-    def test_fault_outcomes_are_stepper_invariant(self, fault_world):
+    def test_fault_outcomes_are_stepper_invariant(
+        self, fault_world, scalar_stepper
+    ):
         from repro.algorithms import MeridianSearch
 
         batch = run_fault_daemon(fault_world, MeridianSearch, self.SPEC)
-        scalar = run_fault_daemon(
-            fault_world,
-            MeridianSearch,
-            dataclasses.replace(self.SPEC, stepper="scalar"),
-        )
+        with scalar_stepper():
+            scalar = run_fault_daemon(fault_world, MeridianSearch, self.SPEC)
         assert np.array_equal(batch.found, scalar.found)
         assert np.array_equal(batch.finish_ms, scalar.finish_ms)
         assert np.array_equal(batch.probe_timeouts, scalar.probe_timeouts)
         assert np.array_equal(batch.probe_drops, scalar.probe_drops)
         assert np.array_equal(batch.query_retries, scalar.query_retries)
+
+    @pytest.mark.parametrize("fault_key", [None, ()])
+    def test_fault_model_without_a_stream_key_is_rejected(
+        self, fault_world, fault_key
+    ):
+        """An empty key used to pass the constructor and crash with a
+        TypeError in the first faulted probe round."""
+        from repro.algorithms import RandomProbeSearch
+        from repro.service import QueryDaemon
+
+        algorithm = RandomProbeSearch(budget=8)
+        algorithm.build(fault_world.oracle, np.arange(100), seed=1)
+        fault_model = self.SPEC.faults.build_model(
+            fault_world.topology.host_cluster, np.random.default_rng(2)
+        )
+        with pytest.raises(ConfigurationError, match="fault_key"):
+            QueryDaemon(
+                algorithm,
+                self.SPEC,
+                targets=np.arange(100, fault_world.topology.n_nodes),
+                workload_rng=np.random.default_rng(3),
+                algo_rng=np.random.default_rng(4),
+                fault_model=fault_model,
+                fault_key=fault_key,
+            )
 
 
 class TestDaemonNatRelay:
@@ -435,42 +459,20 @@ class TestZeroFaultIdentity:
     """An inert fault model is *free*: timelines bit-identical to PR 6."""
 
     @pytest.mark.parametrize("stepper", ["batch", "scalar"])
-    def test_all_zero_faultspec_is_bit_identical(self, fault_world, stepper):
+    def test_all_zero_faultspec_is_bit_identical(
+        self, fault_world, stepper, scalar_stepper
+    ):
+        from contextlib import nullcontext
+
         from repro.algorithms import MeridianSearch
 
-        bare = dataclasses.replace(FAULT_DAEMON, stepper=stepper)
-        inert = dataclasses.replace(bare, faults=FaultSpec())
-        a = run_fault_daemon(fault_world, MeridianSearch, bare)
-        b = run_fault_daemon(fault_world, MeridianSearch, inert)
+        inert = dataclasses.replace(FAULT_DAEMON, faults=FaultSpec())
+        with scalar_stepper() if stepper == "scalar" else nullcontext():
+            a = run_fault_daemon(fault_world, MeridianSearch, FAULT_DAEMON)
+            b = run_fault_daemon(fault_world, MeridianSearch, inert)
         for field in dataclasses.fields(a):
             va, vb = getattr(a, field.name), getattr(b, field.name)
             if isinstance(va, np.ndarray):
                 assert np.array_equal(va, vb), field.name
             else:
                 assert va == vb, field.name
-
-    def test_shard_count_invariance_under_faults(self, fault_world):
-        from repro.algorithms import MeridianSearch
-
-        spec = dataclasses.replace(
-            FAULT_DAEMON,
-            faults=FaultSpec(
-                base_loss_rate=0.05,
-                nat_fraction=0.2,
-                clock_skew=0.05,
-                probe_timeout_ms=250.0,
-            ),
-        )
-        two = run_fault_daemon(
-            fault_world, MeridianSearch, dataclasses.replace(spec, shards=2)
-        )
-        three = run_fault_daemon(
-            fault_world, MeridianSearch, dataclasses.replace(spec, shards=3)
-        )
-        assert np.array_equal(two.found, three.found)
-        assert np.array_equal(two.finish_ms, three.finish_ms)
-        assert np.array_equal(two.probe_drops, three.probe_drops)
-        assert np.array_equal(two.probe_timeouts, three.probe_timeouts)
-        assert np.array_equal(two.relayed_probes, three.relayed_probes)
-        assert np.array_equal(two.query_retries, three.query_retries)
-        assert two.relay_extra_ms == pytest.approx(three.relay_extra_ms)
