@@ -21,9 +21,10 @@ from repro.util.rng import make_rng
 #: ``NearestPeerAlgorithm.maintenance_policy``).  ``incremental`` means
 #: :meth:`NearestPeerAlgorithm.join` / :meth:`~NearestPeerAlgorithm.leave`
 #: patch the existing index in place (cost proportional to the event);
-#: ``rebuild`` means every membership event re-runs the full offline build
-#: with its probes counted, so the maintenance bill is honest the same way
-#: the query probe bill is.
+#: ``rebuild`` means the index is one *region* per member and every
+#: membership event is billed as a full reconstruction (|M| measurements
+#: per region), so the maintenance bill is honest the same way the query
+#: probe bill is — see :meth:`NearestPeerAlgorithm.region`.
 MAINTENANCE_POLICIES = ("incremental", "rebuild")
 
 #: Maintenance-scheduling disciplines (see :class:`MaintenanceScheduler`).
@@ -35,12 +36,11 @@ MAINTENANCE_POLICIES = ("incremental", "rebuild")
 #: index).  ``lazy`` buffers events until the next query touches the stale
 #: index, so event-only phases cost nothing and the whole deferred bill
 #: lands on the query that finally needs the index fresh.  ``lazy-partial``
-#: is the region-aware refinement of ``lazy``: a query refreshes only the
-#: index *regions* it actually reads (a region-sized rebuild per touched
-#: node instead of a full |M|^2 flush), answering from a partially fresh
-#: index; schemes that do not declare
-#: :attr:`NearestPeerAlgorithm.supports_partial_flush` fall back to the
-#: full flush and behave exactly like ``lazy``.
+#: is the region-aware refinement of ``lazy`` for rebuild-policy schemes:
+#: a query pays only for the index *regions* it actually reads (|M| per
+#: region instead of a full |M|^2 flush), answering from a partially fresh
+#: index; incremental schemes have no regions and behave exactly like
+#: ``lazy``.
 MAINTENANCE_DISCIPLINES = ("eager", "coalesce", "lazy", "lazy-partial")
 
 
@@ -51,10 +51,10 @@ class MaintenanceLedger:
     monotonically increasing *event id* (:meth:`new_event`), and every
     maintenance probe is charged to the event(s) that caused it: an eager
     event's bill lands on its own id, a flush's bill is split over the
-    buffered ids it applied (:meth:`charge_spread`), and a partial-flush
-    region refresh is split over the ids still pending.  Probes with no
-    membership-event cause (continuous overlay upkeep such as Meridian
-    ring repair) accrue on the :attr:`background` bucket.
+    buffered ids it applied (:meth:`charge_spread`), and a region read
+    under ``lazy-partial`` is split over the ids still pending.  Probes
+    with no membership-event cause (continuous overlay upkeep such as
+    Meridian ring repair) accrue on the :attr:`background` bucket.
 
     The invariant ``sum(bills) + background == maintenance_probes_total``
     holds at every flush boundary, independent of scheduling order —
@@ -148,11 +148,10 @@ class MaintenanceScheduler:
       the index is always fresh at query time but event-only stretches
       (e.g. a churn warmup, or many events between sparse queries) coalesce
       into a single application.
-    * ``lazy-partial`` — like ``lazy``, but a query refreshes only the index
-      regions its descent actually reads (see
-      :meth:`NearestPeerAlgorithm.partial_flush`); schemes without
-      :attr:`~NearestPeerAlgorithm.supports_partial_flush` degrade to the
-      full flush, i.e. behave exactly like ``lazy``.
+    * ``lazy-partial`` — like ``lazy``, but a query pays only for the
+      index regions its descent actually reads (see
+      :meth:`NearestPeerAlgorithm.region`); incremental schemes degrade to
+      the full flush, i.e. behave exactly like ``lazy``.
 
     The scheduler itself holds only the *decision* state (discipline,
     window, pending-event count) plus the :class:`MaintenanceLedger` that
@@ -226,7 +225,7 @@ class MaintenanceScheduler:
 
     @property
     def partial_on_query(self) -> bool:
-        """Whether queries refresh only the index regions they read."""
+        """Whether queries pay only for the index regions they read."""
         return self.discipline == "lazy-partial"
 
     def note_event(self) -> bool:
@@ -384,14 +383,17 @@ class NearestPeerAlgorithm(abc.ABC):
     :meth:`leave` membership events.  Queries must only learn about the
     target through ``self.probe`` so the probe accounting is honest;
     membership maintenance must measure only through the maintenance
-    helpers (:meth:`maintenance_probe_many` and friends, or — for
-    rebuild-policy schemes — the flagged :meth:`offline_distances_from`)
-    so maintenance cost is honest too.
+    helpers (:meth:`maintenance_probe_many` and friends, or the flagged
+    :meth:`offline_distances_from`) so maintenance cost is honest too.
 
     Each scheme declares its ``maintenance_policy`` (see
     :data:`MAINTENANCE_POLICIES`): ``incremental`` schemes patch their
-    index per event, ``rebuild`` schemes re-run the full build per event
-    with every probe counted (``rebuild_count`` tracks how often).
+    index per event; ``rebuild`` schemes implement one pure region
+    builder, :meth:`_build_region`, and read regions through
+    :meth:`region`, which computes each one the first time a plan reads
+    it.  Every event is billed as the full reconstruction (|M|^2 probes,
+    ``rebuild_count`` tracks how often), whether or not any region is
+    ever read.
 
     *When* maintenance fires is the :class:`MaintenanceScheduler`'s call
     (the ``maintenance`` constructor argument): under the default
@@ -409,11 +411,6 @@ class NearestPeerAlgorithm(abc.ABC):
     name: str = "abstract"
     #: Declared membership-maintenance policy (class attribute).
     maintenance_policy: str = "rebuild"
-    #: Whether the scheme can refresh single index *regions* on demand
-    #: (class attribute) — the ``lazy-partial`` discipline's fast path.
-    #: Declaring True requires implementing :meth:`_region_is_fresh`,
-    #: :meth:`_refresh_region` and :meth:`_note_index_current`.
-    supports_partial_flush: bool = False
 
     def __init__(
         self, maintenance: "str | MaintenanceScheduler | None" = None
@@ -437,13 +434,19 @@ class NearestPeerAlgorithm(abc.ABC):
         self._indexed_members: np.ndarray | None = None
         # Struct-of-arrays liveness: a boolean mask over the oracle's id
         # space, maintained in O(changes) per membership event, plus the
-        # identity of the member array it reflects (member arrays are
-        # replaced, never mutated, so identity pins the mask's validity).
+        # live member array it reflects (member arrays are replaced, never
+        # mutated, so identity pins the mask's validity).  A plan step
+        # swaps its snapshot into ``_members``; ``_live_members`` stays.
         self._member_mask: np.ndarray | None = None
-        self._member_mask_for: np.ndarray | None = None
+        self._live_members: np.ndarray | None = None
+        # Region store of rebuild-policy schemes (see :meth:`region`): the
+        # generation and member array of the last counted reconstruction,
+        # and the regions plans have read as ``node -> (generation, region)``.
+        self._region_key: tuple[int, np.ndarray] | None = None
+        self._regions: dict[int, tuple[int, object]] = {}
         # Observability hook, called as ``(event_ids, probes, kind)``
-        # right after a deferred flush (kind="flush") or an on-demand
-        # region refresh (kind="partial") charges the ledger.  The
+        # right after a deferred flush (kind="flush") or a region read
+        # under ``lazy-partial`` (kind="partial") charges the ledger.  The
         # daemon's tracer installs it; ``None`` (the default) costs one
         # attribute check on the flush path and nothing on queries.
         self._flush_observer = None
@@ -473,7 +476,8 @@ class NearestPeerAlgorithm(abc.ABC):
         self._reset_member_mask()
         self._scheduler.reset()
         self._pending_event_ids = []
-        self._partial_reset()
+        self._region_key = (0, self._members)
+        self._regions = {}
         self._build(make_rng(seed))
 
     def _reset_member_mask(self) -> None:
@@ -482,7 +486,7 @@ class NearestPeerAlgorithm(abc.ABC):
         mask = np.zeros(self._oracle.n_nodes, dtype=bool)
         mask[self._members] = True
         self._member_mask = mask
-        self._member_mask_for = self._members
+        self._live_members = self._members
 
     def _update_member_mask(
         self,
@@ -496,7 +500,7 @@ class NearestPeerAlgorithm(abc.ABC):
             self._member_mask[remove] = False
         if add is not None and add.size:
             self._member_mask[add] = True
-        self._member_mask_for = self._members
+        self._live_members = self._members
 
     def view_contains(self, node: int) -> bool | None:
         """O(1) membership test against the current query view, or ``None``.
@@ -512,7 +516,7 @@ class NearestPeerAlgorithm(abc.ABC):
         if (
             members is None
             or self._member_mask is None
-            or members is not self._member_mask_for
+            or members is not self._live_members
         ):
             return None
         if not 0 <= node < self._member_mask.size:
@@ -533,8 +537,8 @@ class NearestPeerAlgorithm(abc.ABC):
         The new ids must not already be members.  Maintenance follows the
         scheme's declared :attr:`maintenance_policy`: incremental schemes
         splice the arrivals into the existing index, rebuild schemes
-        re-run the offline build over the grown membership with every
-        probe counted.  The returned count (also accumulated on
+        bill a full reconstruction over the grown membership
+        (:meth:`_reindex`).  The returned count (also accumulated on
         :attr:`maintenance_probes_total` and reported on the next query's
         :attr:`SearchResult.maintenance_probes`) is the event's
         measurement bill.
@@ -553,7 +557,7 @@ class NearestPeerAlgorithm(abc.ABC):
         if (
             in_range
             and self._member_mask is not None
-            and self._members is self._member_mask_for
+            and self._members is self._live_members
         ):
             # O(|J|) duplicate check off the liveness mask.
             dup_hits = self._member_mask[joined]
@@ -609,7 +613,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return 0
         if (
             self._member_mask is not None
-            and self._members is self._member_mask_for
+            and self._members is self._live_members
             and left.min() >= 0
             and left.max() < self._member_mask.size
         ):
@@ -694,12 +698,12 @@ class NearestPeerAlgorithm(abc.ABC):
         """Apply the *net* buffered membership change to the index.
 
         Rebuild-policy schemes pay one counted reconstruction over the
-        current membership, however many events were buffered — that is
-        the whole point of coalescing.  Incremental schemes replay the net
-        change through their own :meth:`_leave` / :meth:`_join` hooks:
-        departures first (with ``kept_mask`` relative to the indexed
-        member order the hooks' per-member arrays are aligned to), then
-        arrivals appended behind the survivors.  A node that left and
+        current membership (:meth:`_reindex`), however many events were
+        buffered — that is the whole point of coalescing.  Incremental
+        schemes replay the net change through their own :meth:`_leave` /
+        :meth:`_join` hooks: departures first (with ``kept_mask``
+        relative to the indexed member order the hooks' per-member arrays
+        are aligned to), then arrivals appended behind the survivors.  A node that left and
         rejoined inside the buffer window nets out to nothing — its index
         entries are still valid — and a join-then-leave never touches the
         index at all.  After the flush the member array is the survivors
@@ -722,23 +726,12 @@ class NearestPeerAlgorithm(abc.ABC):
                 # leave-then-rejoin): the index is already consistent —
                 # pay nothing.  Incremental schemes restore the indexed
                 # member order (their per-member arrays are aligned to
-                # it); rebuild schemes key their index by node id, so the
-                # live order stays — which keeps full and partial flushes
-                # on the same member order, hence the same query draws.
+                # it); rebuild schemes keep the live order and go on
+                # reading regions keyed by their last reconstruction.
                 if self.maintenance_policy == "incremental":
                     self._members = flushed
-                elif self.supports_partial_flush:
-                    self._note_index_current()
             elif self.maintenance_policy == "rebuild":
-                if self.supports_partial_flush and self._scheduler.partial_on_query:
-                    # Forced flush under lazy-partial: bring only the
-                    # still-stale regions up to date — regions a query
-                    # already refreshed at this generation are not
-                    # rebuilt (or billed) twice.
-                    self._refresh_stale_regions()
-                else:
-                    self.rebuild_count += 1
-                    self._build(rng)
+                self._reindex()
             else:
                 if net_left.size:
                     self._members = survivors
@@ -754,7 +747,7 @@ class NearestPeerAlgorithm(abc.ABC):
         # A flush reorders the member array but never changes the member
         # *set* (deferred events updated mask and members in lock-step), so
         # the mask contents stay valid — only re-pin its identity anchor.
-        self._member_mask_for = self._members
+        self._live_members = self._members
         self._scheduler.note_flush()
         spent = self._maintenance_probe_count - before
         self._scheduler.ledger.charge_spread(self._pending_event_ids, spent)
@@ -768,12 +761,10 @@ class NearestPeerAlgorithm(abc.ABC):
         """Subclass hook: maintain the index after ``joined`` were appended.
 
         Called with ``self.members`` already updated (arrivals appended at
-        the end, in sorted id order).  The default is the counted-rebuild
-        fallback: re-run :meth:`_build` with offline probes billed as
-        maintenance.
+        the end, in sorted id order).  The default is the rebuild policy's
+        counted reconstruction, :meth:`_reindex`.
         """
-        self.rebuild_count += 1
-        self._build(rng)
+        self._reindex()
 
     def _leave(
         self,
@@ -785,114 +776,114 @@ class NearestPeerAlgorithm(abc.ABC):
 
         ``kept_mask`` is boolean over the *pre-event* member order (order
         is preserved for survivors), so incremental schemes can realign
-        per-member arrays.  The default is the counted-rebuild fallback.
+        per-member arrays.  The default is the counted reconstruction.
         """
-        self.rebuild_count += 1
-        self._build(rng)
+        self._reindex()
 
-    # -- partial freshness (region-aware lazy maintenance) ---------------------
+    # -- region store (rebuild-policy schemes) ---------------------------------
 
     @property
     def maintenance_generation(self) -> int:
         """Membership events observed since :meth:`build` (the ledger length).
 
-        Region-keyed schemes derive per-region rng streams from this, so a
-        region refreshed on demand at generation ``g`` holds bit-identical
-        content to the same region inside a full rebuild at ``g``.
+        Regions are keyed by generation: a region computed at generation
+        ``g`` is the same whether a full flush or a single read asked for
+        it, which is what lets ``lazy-partial`` pay per region read.
         """
         return self._scheduler.ledger.n_events
 
     @property
     def partial_mode(self) -> bool:
         """Whether this scheme answers queries from a partially fresh index."""
-        return self.supports_partial_flush and self._scheduler.partial_on_query
+        return (
+            self.maintenance_policy == "rebuild"
+            and self._scheduler.partial_on_query
+        )
 
     @property
     def _partial_pending(self) -> bool:
         return self.partial_mode and self._indexed_members is not None
 
-    def _partial_reset(self) -> None:
-        """Hook: forget partial-freshness bookkeeping (called by :meth:`build`)."""
+    def _reindex(self) -> None:
+        """Counted reconstruction of the index at the live generation.
 
-    def _region_is_fresh(self, node: int) -> bool:
-        """Hook: whether ``node``'s index region reflects the live membership."""
-        raise ConfigurationError(
-            f"{self.name} does not support partial flushes"
-        )
-
-    def _refresh_region(self, node: int) -> None:
-        """Hook: rebuild ``node``'s index region against the current view.
-
-        Called under maintenance accounting; implementations measure
-        through :meth:`offline_distances_from` (or the counted maintenance
-        helpers) so the region-sized bill is honest.
+        Bills what rebuilding every live region costs — |M| measurements
+        each — and computes none of them: :meth:`region` computes a region
+        when a plan first reads it.  A forced flush under ``lazy-partial``
+        bills only the live regions no query read at this generation, and
+        does not count as a rebuild.
         """
-        raise ConfigurationError(
-            f"{self.name} does not support partial flushes"
-        )
+        members = self.members
+        generation = self.maintenance_generation
+        stale = members.size
+        if self._partial_pending:
+            stale -= sum(1 for g, _ in self._regions.values() if g == generation)
+        else:
+            self.rebuild_count += 1
+        self._maintenance_probe_count += stale * int(members.size)
+        self._region_key = (generation, members)
+        self._regions = {
+            node: entry
+            for node, entry in self._regions.items()
+            if entry[0] >= generation
+        }
 
-    def _note_index_current(self) -> None:
-        """Hook: declare the whole index fresh without touching content."""
-        raise ConfigurationError(
-            f"{self.name} does not support partial flushes"
-        )
+    def region(self, node: int):
+        """``node``'s index region, or ``None`` if it is not indexed.
 
-    def _refresh_stale_regions(self) -> None:
-        """Region-wise full flush: refresh every stale region, skip fresh ones."""
-        for node in self.members:
-            node = int(node)
-            if not self._region_is_fresh(node):
-                self._refresh_region(node)
-        self._note_index_current()
+        The one read path of rebuild-policy plans.  Regions are keyed by
+        the last counted reconstruction, whose bill already covered every
+        one of them, so a read only computes — once per node and
+        generation, never billed.  Under ``lazy-partial`` with events
+        pending, a read is keyed by the live generation instead, and the
+        first read of a region there bills its |M| measurements, split
+        over the pending event ids without retiring them.  Regions read
+        at a generation newer than the last reconstruction stay valid
+        after a flush whose events netted out.
 
-    def touch_region(self, node: int) -> int:
-        """Refresh one region on demand (the partial-freshness read path).
-
-        Native plans call this immediately before reading a node's region
-        (karger-ruhl: its sampled ball hierarchy; tapestry: its routing
-        table).  Outside ``lazy-partial`` — or when the region is already
-        fresh — this is a cheap no-op.  The region-sized bill is split
-        over the pending event ids *without* retiring them: later touches
-        (or the eventual full flush) keep charging the same causes until
-        the whole index is fresh and the buffer drains.
+        A region is always built from the member array of the generation
+        it is keyed by — never from a plan's member snapshot.  ``None``
+        means ``node`` is not in that array (it departed mid-flight).
         """
-        if not self._partial_pending or self._region_is_fresh(int(node)):
-            return 0
-        before = self._maintenance_probe_count
-        self._in_maintenance = True
-        try:
-            self._refresh_region(int(node))
-        finally:
-            self._in_maintenance = False
-        spent = self._maintenance_probe_count - before
-        self._scheduler.ledger.charge_spread(self._pending_event_ids, spent)
-        if self._flush_observer is not None and spent:
-            self._flush_observer(
-                tuple(self._pending_event_ids), spent, "partial"
-            )
-        self._maintenance_since_query += spent
-        return spent
+        node = int(node)
+        billed = self._partial_pending
+        if billed:
+            generation, members = self.maintenance_generation, self._live_members
+        else:
+            generation, members = self._region_key
+        if not (members == node).any():
+            return None
+        entry = self._regions.get(node)
+        if entry is not None and entry[0] >= generation:
+            return entry[1]
+        distances = batch_latencies_from(self.oracle, node, members)
+        built = self._build_region(node, generation, members, distances)
+        self._regions[node] = (generation, built)
+        if billed:
+            spent = int(members.size)
+            self._maintenance_probe_count += spent
+            self._scheduler.ledger.charge_spread(self._pending_event_ids, spent)
+            if self._flush_observer is not None:
+                self._flush_observer(
+                    tuple(self._pending_event_ids), spent, "partial"
+                )
+            self._maintenance_since_query += spent
+        return built
 
-    def partial_flush(
+    def _build_region(
         self,
-        touched: np.ndarray | Iterable[int],
-        seed: int | np.random.Generator | None = None,
-    ) -> int:
-        """Refresh only the regions of ``touched`` nodes; returns probes spent.
+        node: int,
+        generation: int,
+        members: np.ndarray,
+        distances: np.ndarray,
+    ):
+        """Subclass hook (rebuild policy): compute one index region.
 
-        The public face of the region-aware path: under ``lazy-partial``
-        on a supporting scheme this refreshes exactly the stale regions
-        among ``touched`` (each a region-sized counted rebuild).  On any
-        other discipline — or a scheme without
-        :attr:`supports_partial_flush` — it falls back to the full
-        :meth:`_flush`, so callers can always use it as "make these reads
-        safe now".
+        A pure function of the scheme's build-time state, the generation,
+        the member array and ``distances`` (RTTs from ``node`` to each of
+        ``members``): it must neither measure nor read ``self.members``.
         """
-        if self._indexed_members is None:
-            return 0
-        if not self.partial_mode:
-            return self._flush(make_rng(seed))
-        return sum(self.touch_region(int(node)) for node in touched)
+        raise NotImplementedError(f"{self.name} keeps no index regions")
 
     def query(
         self,
@@ -909,8 +900,8 @@ class NearestPeerAlgorithm(abc.ABC):
         the bounded-staleness index — it may return a recently departed
         member or miss a very recent arrival, exactly the trade real
         batched-repair deployments make.  Under ``lazy-partial`` (on a
-        supporting scheme) nothing is flushed up front: the plan refreshes
-        each region as it reads it (:meth:`touch_region`), answering from
+        rebuild-policy scheme) nothing is flushed up front: the plan pays
+        for each region as it reads it (:meth:`region`), answering from
         a partially fresh index at a region-sized bill instead of a full
         one.
         """
@@ -925,9 +916,9 @@ class NearestPeerAlgorithm(abc.ABC):
 
     @property
     def _must_flush_on_query(self) -> bool:
-        """Full flush needed before answering (lazy, or unsupported partial)."""
+        """Full flush needed before answering (lazy, or partial without regions)."""
         return self._scheduler.flush_on_query or (
-            self._scheduler.partial_on_query and not self.supports_partial_flush
+            self._scheduler.partial_on_query and not self.partial_mode
         )
 
     # -- stepwise query protocol (sans-io) -------------------------------------
@@ -973,7 +964,7 @@ class NearestPeerAlgorithm(abc.ABC):
             self._flush(rng)
         if self.partial_mode:
             # Partial freshness answers from the *live* membership — the
-            # regions the plan touches are refreshed against it on demand.
+            # regions the plan reads are keyed by the live generation.
             view = self._members
         else:
             view = (
@@ -1108,8 +1099,9 @@ class NearestPeerAlgorithm(abc.ABC):
         Uses the oracle's vectorised fast path when it exposes one.  Not
         counted as query probes — index construction is the offline phase.
         During a :meth:`join` / :meth:`leave` event the same measurements
-        are billed as maintenance, which is how the counted-rebuild
-        fallback prices a full rebuild.
+        are billed as maintenance.  Rebuild-policy regions do not measure
+        through here: :meth:`region` computes them and :meth:`_reindex`
+        bills them.
         """
         if self._in_maintenance:
             self._maintenance_probe_count += int(self.members.size)

@@ -571,10 +571,10 @@ class QueryDaemon:
     def _observe_flush(self, event_ids, probes, kind) -> None:
         """Deferred-maintenance hook (installed only when tracing).
 
-        The algorithm calls this from inside ``flush_maintenance`` /
-        ``touch_region`` after the ledger is charged, so the span carries
-        exactly the event ids the flush retired (or, for a partial
-        refresh, touched) and the probes it spent.
+        The algorithm calls this after a deferred flush, or a billed
+        region read under ``lazy-partial``, charges the ledger, so the
+        span carries exactly the event ids the flush retired (or, for a
+        region read, the ids still pending) and the probes it spent.
         """
         now = self.loop.now
         self.tracer.maintenance(

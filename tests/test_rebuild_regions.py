@@ -226,3 +226,153 @@ class TestGoldens:
             algorithm.rebuild_count,
         )
         assert digest == DAEMON_GOLDENS[key]
+
+
+# -- compute follows reads ----------------------------------------------------
+
+
+class CellCountingOracle:
+    """Forwards to a batch oracle and counts every latency cell it returns."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.cells = 0
+
+    @property
+    def n_nodes(self) -> int:
+        return self._inner.n_nodes
+
+    def latency_ms(self, a, b):
+        self.cells += 1
+        return self._inner.latency_ms(a, b)
+
+    def latencies_from(self, a, members=None):
+        row = self._inner.latencies_from(a, members)
+        self.cells += row.size
+        return row
+
+    def latency_block(self, rows, cols):
+        block = self._inner.latency_block(rows, cols)
+        self.cells += block.size
+        return block
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+class TestComputeFollowsReads:
+    def _built(self, uniform_oracle, scheme, discipline="eager"):
+        counting = CellCountingOracle(uniform_oracle)
+        algorithm = SCHEMES[scheme](discipline)
+        algorithm.build(
+            counting, np.arange(100), seed=7, probe_oracle=uniform_oracle
+        )
+        return algorithm, counting
+
+    def test_eager_events_bill_everything_and_measure_nothing(
+        self, uniform_oracle, scheme
+    ):
+        algorithm, counting = self._built(uniform_oracle, scheme)
+        assert algorithm.join(np.arange(100, 105), seed=1) == 105 * 105
+        assert algorithm.leave(np.arange(0, 5), seed=2) == 100 * 100
+        assert algorithm.rebuild_count == 2
+        assert counting.cells == 0
+
+    def test_a_query_measures_one_row_per_region_it_reads(
+        self, uniform_oracle, scheme
+    ):
+        algorithm, counting = self._built(uniform_oracle, scheme)
+        algorithm.join(np.arange(100, 105), seed=1)
+        result = algorithm.query(150, seed=3)
+        visited = len(set(result.path))
+        assert counting.cells % 105 == 0
+        # Every hop but possibly the last one reads its node's region.
+        assert 105 * max(visited - 1, 1) <= counting.cells <= 105 * visited
+        if scheme == "karger-ruhl":
+            assert counting.cells == 105 * visited
+        # The same regions at the same generation are memoised ...
+        counting.cells = 0
+        assert algorithm.query(150, seed=3).found == result.found
+        assert counting.cells == 0
+        # ... until the next event moves the index on.
+        algorithm.leave([100], seed=4)
+        algorithm.query(150, seed=3)
+        assert counting.cells > 0
+
+    def test_lazy_partial_reads_bill_what_they_measure(
+        self, uniform_oracle, scheme
+    ):
+        algorithm, counting = self._built(uniform_oracle, scheme, "lazy-partial")
+        algorithm.join(np.arange(100, 105), seed=1)
+        assert counting.cells == 0
+        spent = algorithm.query(150, seed=3).maintenance_probes
+        assert spent == counting.cells > 0
+
+
+# -- lazy-partial over a plan's stale snapshot ---------------------------------
+
+
+def _drive(plan):
+    try:
+        while True:
+            plan.send(None)
+    except StopIteration as stop:
+        return stop.value
+
+
+def test_lazy_partial_read_after_a_mid_plan_leave_uses_the_live_members(
+    uniform_oracle,
+):
+    """A plan started before a leave reads its next region at the new
+    generation, built from the live members — not from the plan's
+    snapshot — so it bills |live| and matches a ``lazy`` twin's index."""
+    partial = KargerRuhlSearch(maintenance="lazy-partial")
+    partial.build(uniform_oracle, np.arange(140), seed=7)
+    plan = partial.query_plan(150, seed=3)
+    seed_node = int(plan.send(None).srcs[0])  # the plan's first round
+    leavers = [m for m in range(140) if m != seed_node][:30]
+    partial.leave(leavers, seed=4)
+    try:
+        plan.send(None)  # the next hop reads the seed node's region
+    except StopIteration:
+        pass
+    assert partial.maintenance_probes_total == 110
+    _drive(plan)
+    assert partial.maintenance_probes_total % 110 == 0
+
+    lazy = KargerRuhlSearch(maintenance="lazy")
+    lazy.build(uniform_oracle, np.arange(140), seed=7)
+    lazy.leave(leavers, seed=4)
+    for target in range(151, 160):
+        a = partial.query(target, seed=target)
+        b = lazy.query(target, seed=target)
+        assert (a.found, a.found_latency_ms, a.probes) == (
+            b.found,
+            b.found_latency_ms,
+            b.probes,
+        )
+    for ours, theirs in zip(partial.region(seed_node), lazy.region(seed_node)):
+        assert ours.tolist() == theirs.tolist()
+    assert partial.region(leavers[0]) is None
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_daemon_lazy_partial_answers_like_eager(daemon_world, scheme):
+    """Without a flush timer a ``lazy-partial`` daemon reads every region
+    at the live generation, exactly as ``eager`` does — so the answers
+    agree while ``lazy-partial`` bills a fraction of the probes."""
+    records = {}
+    for discipline in ("eager", "lazy-partial"):
+        records[discipline] = QueryEngine().run_daemon_trial(
+            daemon_world,
+            SCHEMES[scheme](discipline),
+            DAEMON_SPEC,
+            sampling=SamplingSpec(n_targets=20),
+            n_queries=30,
+            seed=5,
+        )
+    eager, partial = records["eager"], records["lazy-partial"]
+    assert partial.found.tolist() == eager.found.tolist()
+    assert partial.probes.tolist() == eager.probes.tolist()
+    assert partial.finish_ms.tolist() == eager.finish_ms.tolist()
+    assert (
+        partial.maintenance_probes.sum() < eager.maintenance_probes.sum() / 10
+    )

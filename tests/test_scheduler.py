@@ -680,8 +680,8 @@ class TestPartialFreshness:
         )
 
     def test_non_supporting_scheme_falls_back_to_full_flush(self, oracle):
-        """A scheme without ``supports_partial_flush`` under
-        ``lazy-partial`` behaves exactly like ``lazy``."""
+        """Incremental schemes under ``lazy-partial`` behave exactly like
+        ``lazy``: they keep no index regions to pay for one at a time."""
         lazy, lazy_answers = self._run(
             oracle, lambda m: BeaconSearch(n_beacons=6, maintenance=m), "lazy"
         )
@@ -700,15 +700,19 @@ class TestPartialFreshness:
         algorithm = KargerRuhlSearch(maintenance="lazy-partial")
         algorithm.build(oracle, np.arange(60), seed=7)
         algorithm.join([60, 61], seed=1)
-        touched = [3, 4, 5]
-        spent = algorithm.partial_flush(touched)
-        assert spent > 0
-        # Touched regions are fresh; a second partial flush is free.
-        assert algorithm.partial_flush(touched) == 0
+        read = algorithm.query(150, seed=2).maintenance_probes
+        # The query paid |M| = 62 per region its descent read ...
+        assert read > 0 and read % 62 == 0
+        # ... and re-reading those regions at this generation is free.
+        assert algorithm.query(150, seed=2).maintenance_probes == 0
         # Untouched regions still pend: the buffer has not drained.
         assert algorithm.has_pending_maintenance
-        assert algorithm.maintenance_probes_total == spent
-        assert algorithm.maintenance_by_event.sum() == spent
+        # The forced flush bills only the regions no query read.
+        assert algorithm.flush_maintenance(seed=3) == 62 * 62 - read
+        assert not algorithm.has_pending_maintenance
+        assert algorithm.rebuild_count == 0
+        assert algorithm.maintenance_probes_total == 62 * 62
+        assert algorithm.maintenance_by_event.sum() == 62 * 62
 
     def test_partial_flush_falls_back_to_full_flush_outside_partial_mode(
         self, oracle
@@ -716,10 +720,11 @@ class TestPartialFreshness:
         algorithm = KargerRuhlSearch(maintenance="lazy")
         algorithm.build(oracle, np.arange(60), seed=7)
         algorithm.join([60, 61], seed=1)
-        spent = algorithm.partial_flush([3], seed=2)
+        spent = algorithm.flush_maintenance(seed=2)
         assert spent == 62 * 62  # one full counted rebuild
+        assert algorithm.rebuild_count == 1
         assert not algorithm.has_pending_maintenance
-        assert algorithm.partial_flush([3], seed=3) == 0
+        assert algorithm.flush_maintenance(seed=3) == 0
 
     def test_partial_mode_answers_see_live_membership(self, oracle):
         """Under partial freshness queries answer from the live members —
