@@ -1,8 +1,12 @@
-"""Shared fixtures: small worlds reused across the test suite, and the
-per-probe reference stepper the daemon's batch stepper is pinned against."""
+"""Shared fixtures: small worlds reused across the test suite, the
+per-probe reference stepper the daemon's batch stepper is pinned against,
+and the golden digest of a measurement-study result."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from contextlib import contextmanager
 
 import numpy as np
@@ -145,3 +149,38 @@ def scalar_stepper():
     of the block only, so one test can compare both steppers.
     """
     return _scalar_stepping
+
+
+def _canonical(value):
+    """A JSON-ready, platform-independent image of a study result.
+
+    Dataclasses become their field lists, dicts their item lists (in
+    insertion order), and floats their exact ``float.hex`` spelling.
+    """
+    if dataclasses.is_dataclass(value):
+        return [_canonical(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [[_canonical(k), _canonical(v)] for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if value is None or isinstance(value, (bool, np.bool_)):
+        return value if value is None else bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value).hex()
+
+
+def _result_digest(result) -> str:
+    text = json.dumps(_canonical(result), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="session")
+def study_digest():
+    """SHA-256 (16 hex digits) over every field of a study result.
+
+    Pins a ``DnsStudy`` / ``AzureusStudy`` output bit for bit: every
+    measurement, predicted-latency list, counter, retained peer, cluster
+    hub id and hub latency.
+    """
+    return _result_digest

@@ -384,6 +384,16 @@ class TestPipelineBatchFlagEquivalence:
         assert batched.pairs_discarded_negative == scalar.pairs_discarded_negative
         assert batched.servers_traced == scalar.servers_traced
 
+    def test_dns_study_golden(self, internet, study_digest):
+        """The bulk true-latency precomputation leaves every draw where
+        the per-pair routing path had it: the whole study is pinned."""
+        result = DnsStudy(internet, seed=5).run()
+        assert study_digest(result) == "721a9dc12d1e4214"
+
+    def test_azureus_study_golden(self, internet, study_digest):
+        result = AzureusStudy(internet, seed=6).run()
+        assert study_digest(result) == "3a61ed56b486d51c"
+
     def test_sample_pairs_bit_identical_to_nested_loop(self, internet):
         """The 2-D pair draw must replay the historical per-server loop."""
         study = DnsStudy(internet, seed=13)

@@ -49,6 +49,9 @@ class TestDnsStudy:
         # With additive ping noise some legs must come out negative.
         assert result.pairs_discarded_negative > 0
 
+    def test_golden_digest(self, result, study_digest):
+        assert study_digest(result) == "c0b3e6d291bf2354"
+
     def test_hops_filter_respected(self, result):
         config = DnsStudyConfig()
         for m in result.measurements:
@@ -150,6 +153,9 @@ class TestAzureusStudy:
     def test_hub_latencies_positive(self, result):
         for cluster in result.pruned_clusters:
             assert all(v > 0 for v in cluster.latencies())
+
+    def test_golden_digest(self, result, study_digest):
+        assert study_digest(result) == "e8458ff697461776"
 
     def test_batched_routes_bit_identical(self, study_internet, result):
         """Per-vantage ``routes_from`` sweeps replace per-trace routing
