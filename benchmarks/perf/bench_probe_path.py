@@ -12,9 +12,9 @@ Times every layer the batched probe API accelerates, against a faithful
   ``NearestPeerAlgorithm`` interface with scalar versus batched probes;
 * ``dns_pair_latencies`` — the DNS study's true pair RTTs via per-pair
   ``route()`` versus one ``RouterLevelTopology.latency_matrix`` block;
-* ``dns_study_pipeline`` — the full Section 3.1 pipeline with
-  ``batch_true_latencies`` off versus on (results are bit-identical, see
-  the equivalence tests).
+* ``dns_study_pipeline`` — the full Section 3.1 pipeline with per-pair
+  routed true RTTs versus the bulk precomputation (results are
+  bit-identical, see the study golden tests).
 
 Usage::
 
@@ -38,21 +38,21 @@ import numpy as np
 from repro.algorithms.random_probe import RandomProbeSearch
 from repro.latency.synthetic import SyntheticCoreConfig, synthetic_core_matrix
 from repro.measurement.datasets import generate_dns_server_population
-from repro.measurement.dns_pipeline import DnsStudy, DnsStudyConfig
+from repro.measurement.dns_pipeline import DnsStudy
 from repro.meridian.overlay import MeridianConfig, MeridianOverlay
 from repro.meridian.selection import select_maxmin
-from repro.topology.oracle import MatrixOracle, NoisyOracle, batch_latency_block
+from repro.topology.oracle import MatrixOracle, NoisyOracle
 
 SCALES = ("tiny", "paper")
 
 
 class ScalarOnlyOracle:
-    """Shim hiding an oracle's batch methods: forces the pre-batch path.
+    """Shim answering every batch with a per-probe ``latency_ms`` loop.
 
-    Every call site dispatches through ``batch_latencies_from`` /
-    ``batch_latency_block``, whose fallback for this shim is exactly the
-    historical per-probe Python loop — so timing against the shim measures
-    the code this PR replaced.
+    The batch methods are the historical pre-batch code path — one Python
+    call per probe, in the element order every batch implementation must
+    produce — so timing against the shim measures the per-probe loop the
+    vectorised oracles replaced.
     """
 
     def __init__(self, inner) -> None:
@@ -65,11 +65,36 @@ class ScalarOnlyOracle:
     def latency_ms(self, a: int, b: int) -> float:
         return self._inner.latency_ms(a, b)
 
+    def latencies_from(self, a: int, members=None) -> np.ndarray:
+        if members is None:
+            members = range(self.n_nodes)
+        return np.array(
+            [self._inner.latency_ms(int(a), int(m)) for m in members], dtype=float
+        )
+
+    def latency_block(self, rows, cols) -> np.ndarray:
+        return np.array(
+            [[self._inner.latency_ms(int(a), int(b)) for b in cols] for a in rows],
+            dtype=float,
+        )
+
 
 def _timed(fn) -> tuple[float, object]:
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
+
+
+class _PerPairDnsStudy(DnsStudy):
+    """The DNS study without the bulk true-RTT precomputation.
+
+    Every ping and King measurement then routes its host pair on demand —
+    the pre-batch pipeline.  No randomness moves, so results are
+    bit-identical to :class:`DnsStudy`.
+    """
+
+    def _precompute_true_latencies(self, pairs, intra_pairs) -> None:
+        pass
 
 
 def _restore_legacy_paths(internet) -> None:
@@ -155,7 +180,7 @@ def bench_ring_selection(scale: str, seed: int) -> dict:
 
     def run(target) -> list[list[int]]:
         return [
-            select_maxmin(batch_latency_block(target, c, c), 16)
+            select_maxmin(target.latency_block(c, c), 16)
             for c in candidate_sets
         ]
 
@@ -239,28 +264,18 @@ def bench_dns_study_pipeline(scale: str, seed: int) -> dict:
     """Full Section 3.1 pipeline, pre-batch versus batched.
 
     The "before" run reproduces the historical pipeline code paths (see
-    :func:`_restore_legacy_paths`) with ``batch_true_latencies`` off.
-    Results are bit-identical either way, so the assert doubles as an
-    equivalence check.
+    :func:`_restore_legacy_paths`) without the bulk true-RTT
+    precomputation (:class:`_PerPairDnsStudy`).  Results are bit-identical
+    either way, so the assert doubles as an equivalence check.
     """
     paper = scale == "paper"
     before_internet = generate_dns_server_population(seed=seed, paper_scale=paper)
     _restore_legacy_paths(before_internet)
     before_s, before = _timed(
-        lambda: DnsStudy(
-            before_internet,
-            config=DnsStudyConfig(batch_true_latencies=False),
-            seed=seed,
-        ).run()
+        lambda: _PerPairDnsStudy(before_internet, seed=seed).run()
     )
     after_internet = generate_dns_server_population(seed=seed, paper_scale=paper)
-    after_s, after = _timed(
-        lambda: DnsStudy(
-            after_internet,
-            config=DnsStudyConfig(batch_true_latencies=True),
-            seed=seed,
-        ).run()
-    )
+    after_s, after = _timed(lambda: DnsStudy(after_internet, seed=seed).run())
     assert before.measurements == after.measurements
     return {
         "name": "dns_study_pipeline",

@@ -23,10 +23,8 @@ package holds the fixes that use extra information).
 from repro.algorithms.base import (
     MaintenanceScheduler,
     NearestPeerAlgorithm,
-    ProbeOp,
     ProbeRound,
     SearchResult,
-    probe_round,
 )
 from repro.algorithms.beaconing import BeaconSearch
 from repro.algorithms.karger_ruhl import KargerRuhlSearch
@@ -39,10 +37,8 @@ from repro.algorithms.tiers import TiersSearch
 __all__ = [
     "MaintenanceScheduler",
     "NearestPeerAlgorithm",
-    "ProbeOp",
     "ProbeRound",
     "SearchResult",
-    "probe_round",
     "MeridianSearch",
     "KargerRuhlSearch",
     "TapestrySearch",

@@ -8,11 +8,7 @@ from typing import Generator, Iterable
 
 import numpy as np
 
-from repro.topology.oracle import (
-    LatencyOracle,
-    batch_latencies_from,
-    batch_latency_block,
-)
+from repro.topology.oracle import LatencyOracle
 from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 
@@ -249,41 +245,24 @@ class MaintenanceScheduler:
         return self.discipline
 
 
-@dataclass(frozen=True)
-class ProbeOp:
-    """One already-measured probe whose *completion* a plan driver times.
+class ProbeRound:
+    """One probe fan-out whose *completion* a plan driver times.
 
     The stepwise query protocol (:meth:`NearestPeerAlgorithm.query_plan`)
-    yields batches of these.  The measurement itself has already happened
-    through the algorithm's counted probe channel when the batch is
-    yielded — accounting, noise-stream order and rng consumption are
-    therefore identical to the blocking :meth:`~NearestPeerAlgorithm.query`
-    by construction — but the *plan generator does not act on the values
+    yields these.  The measurements have already been taken through the
+    algorithm's counted probe channel when the round is yielded —
+    accounting, noise-stream order and rng consumption are therefore
+    identical to the blocking :meth:`~NearestPeerAlgorithm.query` by
+    construction — but the *plan generator does not act on the values
     until the driver resumes it*, so a latency-faithful driver (the
-    simulated-time daemon) simply holds the resume until every probe's
-    ``rtt_ms`` has elapsed on its clock.  An instantaneous driver resumes
+    simulated-time daemon) holds the resume until the round's probes
+    have completed on its clock.  An instantaneous driver resumes
     immediately and reproduces the blocking query bit for bit.
-    """
 
-    #: The member issuing the measurement.
-    src: int
-    #: The node measured (the query target for ``kind="probe"``).
-    dst: int
-    #: The RTT the probe observed — also its completion time.
-    rtt_ms: float
-    #: ``"probe"`` (counts against the target-probe bill) or ``"aux"``.
-    kind: str = "probe"
-
-
-class ProbeRound:
-    """One probe fan-out in struct-of-arrays form.
-
-    Sequence-compatible with the historical ``list[ProbeOp]`` round —
-    ``len``, iteration and indexing materialise :class:`ProbeOp` views on
-    demand — while keeping the parallel ``srcs`` / ``dsts`` / ``rtts_ms``
-    arrays the vectorised daemon stepper reads directly, so a round of a
-    thousand probes costs one numpy slice instead of a thousand dataclass
-    instances.
+    Struct-of-arrays: probe ``i`` was issued by ``srcs[i]``, measured
+    ``dsts[i]`` (the query target for ``kind="probe"``) and observed
+    ``rtts_ms[i]`` — also its completion time.  ``kind`` is ``"probe"``
+    (counts against the target-probe bill) or ``"aux"``.
     """
 
     __slots__ = ("srcs", "dsts", "rtts_ms", "kind")
@@ -309,21 +288,6 @@ class ProbeRound:
     def __bool__(self) -> bool:
         return self.srcs.size > 0
 
-    def __getitem__(self, index: int) -> ProbeOp:
-        return ProbeOp(
-            int(self.srcs[index]),
-            int(self.dsts[index]),
-            float(self.rtts_ms[index]),
-            self.kind,
-        )
-
-    def __iter__(self):
-        kind = self.kind
-        for s, d, r in zip(
-            self.srcs.tolist(), self.dsts.tolist(), self.rtts_ms.tolist()
-        ):
-            yield ProbeOp(int(s), int(d), float(r), kind)
-
     def __repr__(self) -> str:
         return f"ProbeRound(n={len(self)}, kind={self.kind!r})"
 
@@ -333,16 +297,6 @@ class ProbeRound:
 #: rounds are sequential) and returning the final :class:`SearchResult`
 #: via ``StopIteration.value``.  Drive it with ``plan.send(None)``.
 QueryPlan = Generator  # Generator[ProbeRound, None, SearchResult]
-
-
-def probe_round(
-    nodes: Iterable[int],
-    target: int,
-    values: Iterable[float],
-    kind: str = "probe",
-) -> ProbeRound:
-    """Package one fan-out (``nodes`` each probing ``target``) as a round."""
-    return ProbeRound(nodes, int(target), values, kind)
 
 
 @dataclass
@@ -468,9 +422,21 @@ class NearestPeerAlgorithm(abc.ABC):
         setting for comparing schemes under the clustering condition
         (beacon triangulation, for one, is unrealistically sharp on exact
         latencies).
+
+        Both oracles must implement the whole :class:`LatencyOracle`
+        contract, batch methods included; a scalar-only oracle is
+        rejected here rather than failing deep inside a plan.
         """
+        probe_oracle = probe_oracle or oracle
+        for role, candidate in (("oracle", oracle), ("probe_oracle", probe_oracle)):
+            for method in ("latencies_from", "latency_block"):
+                if not callable(getattr(candidate, method, None)):
+                    raise ConfigurationError(
+                        f"{self.name}: {role} {type(candidate).__name__} "
+                        f"lacks {method}()"
+                    )
         self._oracle = oracle
-        self._probe_oracle = probe_oracle or oracle
+        self._probe_oracle = probe_oracle
         self._members = np.asarray(member_ids, dtype=int)
         self._indexed_members = None
         self._reset_member_mask()
@@ -856,7 +822,7 @@ class NearestPeerAlgorithm(abc.ABC):
         entry = self._regions.get(node)
         if entry is not None and entry[0] >= generation:
             return entry[1]
-        distances = batch_latencies_from(self.oracle, node, members)
+        distances = self.oracle.latencies_from(node, members)
         built = self._build_region(node, generation, members, distances)
         self._regions[node] = (generation, built)
         if billed:
@@ -930,7 +896,7 @@ class NearestPeerAlgorithm(abc.ABC):
     ) -> QueryPlan:
         """The stepwise counterpart of :meth:`query`.
 
-        Returns a generator that yields probe rounds (``list[ProbeOp]``)
+        Returns a generator that yields :class:`ProbeRound` fan-outs
         and finally returns the :class:`SearchResult` through
         ``StopIteration.value``.  Each round is a parallel fan-out whose
         measurements have *already been taken* through the counted probe
@@ -1041,9 +1007,7 @@ class NearestPeerAlgorithm(abc.ABC):
 
         Accounting and measurement direction are exact: one probe per
         element, measured as ``latency_ms(node, target)`` — identical to
-        calling :meth:`probe` in a loop even for asymmetric oracles.  Uses
-        the oracle's vectorised fast path when available, with the scalar
-        fallback otherwise.
+        calling :meth:`probe` in a loop even for asymmetric oracles.
         """
         nodes = np.asarray(nodes, dtype=int)
         if nodes.size == 0:
@@ -1065,7 +1029,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty((rows.size, cols.size), dtype=float)
         self._probe_count += int(rows.size * cols.size)
         assert self._probe_oracle is not None
-        return batch_latency_block(self._probe_oracle, rows, cols)
+        return self._probe_oracle.latency_block(rows, cols)
 
     def aux_probe(self, a: int, b: int) -> float:
         """Measure RTT between two non-target nodes at query time.
@@ -1091,13 +1055,12 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty(0, dtype=float)
         self._aux_probe_count += int(nodes.size)
         assert self._probe_oracle is not None
-        return batch_latencies_from(self._probe_oracle, int(a), nodes)
+        return self._probe_oracle.latencies_from(int(a), nodes)
 
     def offline_distances_from(self, node: int) -> np.ndarray:
         """RTTs from ``node`` to every member, for *build/maintenance* use.
 
-        Uses the oracle's vectorised fast path when it exposes one.  Not
-        counted as query probes — index construction is the offline phase.
+        Not counted as query probes — index construction is the offline phase.
         During a :meth:`join` / :meth:`leave` event the same measurements
         are billed as maintenance.  Rebuild-policy regions do not measure
         through here: :meth:`region` computes them and :meth:`_reindex`
@@ -1105,7 +1068,7 @@ class NearestPeerAlgorithm(abc.ABC):
         """
         if self._in_maintenance:
             self._maintenance_probe_count += int(self.members.size)
-        return batch_latencies_from(self.oracle, int(node), self.members)
+        return self.oracle.latencies_from(int(node), self.members)
 
     def offline_probe_many(
         self, node: int, nodes: np.ndarray | list[int]
@@ -1123,7 +1086,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty(0, dtype=float)
         if self._in_maintenance:
             self._maintenance_probe_count += int(nodes.size)
-        return batch_latencies_from(self.oracle, int(node), nodes)
+        return self.oracle.latencies_from(int(node), nodes)
 
     def offline_probe_block(
         self, rows: np.ndarray | list[int], cols: np.ndarray | list[int]
@@ -1136,7 +1099,7 @@ class NearestPeerAlgorithm(abc.ABC):
             return np.empty((rows.size, cols.size), dtype=float)
         if self._in_maintenance:
             self._maintenance_probe_count += int(rows.size * cols.size)
-        return batch_latency_block(self.oracle, rows, cols)
+        return self.oracle.latency_block(rows, cols)
 
     # -- maintenance accounting ----------------------------------------------
 
@@ -1198,7 +1161,7 @@ class NearestPeerAlgorithm(abc.ABC):
         if nodes.size == 0:
             return np.empty(0, dtype=float)
         self._maintenance_probe_count += int(nodes.size)
-        return batch_latencies_from(self.oracle, int(a), nodes)
+        return self.oracle.latencies_from(int(a), nodes)
 
     def maintenance_probe_block(
         self, rows: np.ndarray | list[int], cols: np.ndarray | list[int]
@@ -1209,7 +1172,7 @@ class NearestPeerAlgorithm(abc.ABC):
         if rows.size == 0 or cols.size == 0:
             return np.empty((rows.size, cols.size), dtype=float)
         self._maintenance_probe_count += int(rows.size * cols.size)
-        return batch_latency_block(self.oracle, rows, cols)
+        return self.oracle.latency_block(rows, cols)
 
     def _offer_round(
         self,
@@ -1232,7 +1195,7 @@ class NearestPeerAlgorithm(abc.ABC):
         actually learned.
         """
         values = np.asarray(values, dtype=float)
-        mask = yield probe_round(nodes, target, values, kind)
+        mask = yield ProbeRound(nodes, int(target), values, kind)
         node_list = [int(n) for n in nodes]
         if mask is None:
             return node_list, values, np.arange(len(node_list))

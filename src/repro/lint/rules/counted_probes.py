@@ -5,7 +5,7 @@ bills every query-time measurement through
 :class:`~repro.algorithms.base.NearestPeerAlgorithm`'s counted channels
 (``probe``/``probe_many``/``probe_block``/``aux_probe*``) and every churn
 measurement through the ``maintenance_probe*`` helpers.  A direct
-``latency_ms``/``latencies_from``/``latency_block``/``batch_*`` call inside
+``latency_ms``/``latencies_from``/``latency_block`` call inside
 the algorithm/overlay/service/harness layers is an un-billed oracle read —
 the numbers stay plausible while the cost axis quietly goes wrong.
 
@@ -24,7 +24,6 @@ from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, Rule, attr_name, in_package
 
 _ORACLE_METHODS = frozenset({"latency_ms", "latencies_from", "latency_block"})
-_BATCH_HELPERS = frozenset({"batch_latencies_from", "batch_latency_block"})
 
 
 class CountedProbesRule(Rule):
@@ -60,16 +59,6 @@ class CountedProbesRule(Rule):
                         f"direct oracle `.{name}()` bypasses probe billing: "
                         "measure through probe/probe_many/probe_block or the "
                         "maintenance_probe* helpers",
-                    )
-                )
-            elif name in _BATCH_HELPERS:
-                findings.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"`{name}()` reads the oracle without billing: use the "
-                        "counted batch helpers (probe_block / "
-                        "maintenance_probe_block) instead",
                     )
                 )
         return findings

@@ -28,8 +28,6 @@ _FORBIDDEN = frozenset(
         "latency_ms",
         "latencies_from",
         "latency_block",
-        "batch_latencies_from",
-        "batch_latency_block",
         # offline/maintenance channels: billed to the wrong ledger and
         # invisible to the driver's round timing
         "maintenance_probe",

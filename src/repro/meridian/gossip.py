@@ -78,7 +78,7 @@ class GossipMeridianNode(SimNode):
     def _learn_many(self, members) -> None:
         """Probe and file a whole gossip exchange as one batched round.
 
-        One ``batch_latencies_from`` call over the payload's distinct ids
+        One batched ``latencies_from`` probe over the payload's distinct ids
         replaces the per-member scalar probes of :meth:`_learn`; the
         filing loop then replays the scalar discipline exactly —
         re-checking membership *per item*, so an id evicted by a ring cap

@@ -27,7 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.daemon import QueryDaemon, QueryJob
 
 
-def round_delays(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
+def round_delays(
+    daemon: "QueryDaemon", job: "QueryJob", batch: ProbeRound
+) -> np.ndarray:
     """Per-probe completion delays for one round, as one float array.
 
     ``zero_delay`` collapses everything; otherwise each probe completes
@@ -38,17 +40,15 @@ def round_delays(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
     spec = daemon.spec
     if spec.zero_delay:
         return np.zeros(len(batch))
-    if isinstance(batch, ProbeRound):
-        rtts, srcs = batch.rtts_ms, batch.srcs
-    else:  # legacy list[ProbeOp] rounds from third-party schemes
-        rtts = np.array([op.rtt_ms for op in batch], dtype=float)
-        srcs = np.array([op.src for op in batch], dtype=int)
+    rtts = batch.rtts_ms
     if spec.charge_dispatch:
-        rtts = rtts + daemon.network.path_rtts(job.entry, srcs)
+        rtts = rtts + daemon.network.path_rtts(job.entry, batch.srcs)
     return rtts
 
 
-def round_outcome(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
+def round_outcome(
+    daemon: "QueryDaemon", job: "QueryJob", batch: ProbeRound
+) -> np.ndarray:
     """Per-probe completion delays for one round, faults applied.
 
     The fault-aware front of :func:`round_delays`: with no fault model (or
@@ -69,13 +69,8 @@ def round_outcome(daemon: "QueryDaemon", job: "QueryJob", batch) -> np.ndarray:
     fault_model = daemon.fault_model
     stats = None
     if fault_model is not None and fault_model.active:
-        if isinstance(batch, ProbeRound):
-            srcs, dsts = batch.srcs, batch.dsts
-        else:  # legacy list[ProbeOp] rounds from third-party schemes
-            srcs = np.array([op.src for op in batch], dtype=int)
-            dsts = np.array([op.dst for op in batch], dtype=int)
         delays, answered, stats = daemon.network.apply_faults(
-            daemon.job_fault_rng(job), srcs, dsts, delays
+            daemon.job_fault_rng(job), batch.srcs, batch.dsts, delays
         )
         job.probe_drops += int(stats["dropped"])
         job.probe_retransmits += int(stats["retransmitted"])
@@ -132,7 +127,7 @@ class PlanBatchStepper:
         self.bp_times: list[np.ndarray] = []
         self.bp_deltas: list[np.ndarray] = []
 
-    def dispatch_round(self, job: "QueryJob", batch) -> None:
+    def dispatch_round(self, job: "QueryJob", batch: ProbeRound) -> None:
         daemon = self.daemon
         delays = round_outcome(daemon, job, batch)
         now = daemon.loop.now

@@ -113,12 +113,12 @@ class ScalarStepper:
         self._note(+len(batch))
         messages = [
             Message(
-                src=op.src,
+                src=src,
                 dst=self._receiver.node_id,
                 kind="probe-reply",
                 payload=job,
             )
-            for op in batch
+            for src in batch.srcs.tolist()
         ]
         self.daemon.network.deliver_many(messages, delays)
 
@@ -163,8 +163,8 @@ def _canonical(value):
         return [[_canonical(k), _canonical(v)] for k, v in value.items()]
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
-    if value is None or isinstance(value, (bool, np.bool_)):
-        return value if value is None else bool(value)
+    if value is None or isinstance(value, bool):
+        return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     return float(value).hex()

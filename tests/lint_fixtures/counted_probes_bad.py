@@ -1,6 +1,5 @@
 # Fixture: every tagged line must be caught by counted-probes.
 # Linted as though it lived at src/repro/algorithms/fixture.py.
-from repro.topology.oracle import batch_latencies_from, batch_latency_block
 
 
 class SneakyScheme:
@@ -16,8 +15,9 @@ class SneakyScheme:
     def free_block(self, rows, cols):
         return self._oracle.latency_block(rows, cols)  # LINT: counted-probes
 
-    def free_batch(self, a: int, members):
-        return batch_latencies_from(self._oracle, a, members)  # LINT: counted-probes
+    def free_row_via_local(self, a: int, members):
+        oracle = self._oracle
+        return oracle.latencies_from(a, members)  # LINT: counted-probes
 
-    def free_batch_block(self, rows, cols):
-        return batch_latency_block(self._oracle, rows, cols)  # LINT: counted-probes
+    def free_block_of_passed_oracle(self, oracle, rows, cols):
+        return oracle.latency_block(rows, cols)  # LINT: counted-probes

@@ -1,12 +1,11 @@
 # Fixture: every tagged line must be caught by plan-purity.
 # Linted as though it lived at src/repro/algorithms/fixture.py.
-from repro.topology.oracle import batch_latencies_from
 
 
 class ImpurePlanScheme:
     def _plan(self, target: int, rng):
         direct = self.oracle.latency_ms(0, target)  # LINT: plan-purity
-        row = batch_latencies_from(self.oracle, 0, [target])  # LINT: plan-purity
+        row = self.oracle.latencies_from(0, [target])  # LINT: plan-purity
         hidden = self.maintenance_probe_many(0, [target])  # LINT: plan-purity
         offline = self.offline_distances_from(target)  # LINT: plan-purity
         yield direct

@@ -3,7 +3,9 @@
 Every oracle's ``latency_block`` / ``latencies_from`` must agree with the
 element-wise scalar loop; ``RouterLevelTopology.latency_matrix`` must agree
 with per-pair ``route()``; probe accounting must be identical whichever
-path an algorithm takes; and the engine's hoisted sampled loop must be
+way an oracle computes a batch, and an oracle without the batch methods is
+rejected at build time; the measurement studies' bulk precomputation is
+pinned by golden digests; and the engine's hoisted sampled loop must be
 bit-identical to the original draw-then-query sequence.
 """
 
@@ -16,17 +18,12 @@ from repro.harness.engine import QueryEngine
 from repro.harness.scenario import SamplingSpec
 from repro.latency.builder import build_clustered_oracle
 from repro.latency.matrix import LatencyMatrix
-from repro.measurement.azureus_pipeline import AzureusStudy, AzureusStudyConfig
-from repro.measurement.dns_pipeline import DnsStudy, DnsStudyConfig
+from repro.measurement.azureus_pipeline import AzureusStudy
+from repro.measurement.dns_pipeline import DnsStudy
 from repro.topology.clustered import ClusteredConfig
 from repro.topology.internet import InternetConfig, SyntheticInternet
-from repro.topology.oracle import (
-    CountingOracle,
-    MatrixOracle,
-    NoisyOracle,
-    batch_latencies_from,
-    batch_latency_block,
-)
+from repro.topology.oracle import CountingOracle, MatrixOracle, NoisyOracle
+from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 
 
@@ -51,8 +48,8 @@ def small_internet():
     return SyntheticInternet.generate(config, seed=9)
 
 
-class _ScalarOnly:
-    """Oracle shim exposing only the scalar protocol (forces fallbacks)."""
+class _LatencyMsOnly:
+    """Oracle implementing only ``latency_ms`` (no batch methods)."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -65,21 +62,18 @@ class _ScalarOnly:
         return self._inner.latency_ms(a, b)
 
 
-class _LegacyRowOracle:
-    """Third-party style oracle with the old single-argument latencies_from."""
+class _ScalarOnly(_LatencyMsOnly):
+    """Oracle answering every batch with an element-wise ``latency_ms``
+    loop: the reference the vectorised probe accounting is checked
+    against."""
 
-    def __init__(self, matrix):
-        self._matrix = np.asarray(matrix, dtype=float)
+    def latencies_from(self, a, members=None):
+        if members is None:
+            members = range(self.n_nodes)
+        return np.array([self.latency_ms(int(a), int(m)) for m in members])
 
-    @property
-    def n_nodes(self):
-        return self._matrix.shape[0]
-
-    def latency_ms(self, a, b):
-        return float(self._matrix[a, b])
-
-    def latencies_from(self, a):
-        return self._matrix[a]
+    def latency_block(self, rows, cols):
+        return scalar_block(self, rows, cols)
 
 
 def scalar_block(oracle, rows, cols):
@@ -157,39 +151,27 @@ class TestNoisyOracleBatch:
 
 
 class TestDispatchHelpers:
+    """``build()`` enforces the batch half of the oracle contract."""
+
     def test_scalar_only_fallback(self, matrix):
-        shim = _ScalarOnly(MatrixOracle(matrix))
-        rows, cols = [0, 5], [1, 2, 3]
-        assert np.array_equal(
-            batch_latency_block(shim, rows, cols), matrix[np.ix_(rows, cols)]
-        )
-        assert np.array_equal(
-            batch_latencies_from(shim, 7, cols), matrix[7, cols]
-        )
+        """An oracle without the batch methods is rejected by build(),
+        naming the missing method, whichever role it plays."""
+        scalar_only = _LatencyMsOnly(MatrixOracle(matrix))
+        with pytest.raises(ConfigurationError, match="latencies_from"):
+            RandomProbeSearch().build(scalar_only, np.arange(8), seed=0)
+        with pytest.raises(ConfigurationError, match="probe_oracle"):
+            RandomProbeSearch().build(
+                MatrixOracle(matrix), np.arange(8), seed=0, probe_oracle=scalar_only
+            )
 
-    def test_legacy_single_argument_latencies_from(self, matrix):
-        legacy = _LegacyRowOracle(matrix)
-        members = np.array([2, 0, 11])
-        assert np.array_equal(
-            batch_latencies_from(legacy, 6, members), matrix[6, members]
-        )
-
-    def test_typeerror_inside_modern_implementation_propagates(self, matrix):
-        """A TypeError raised *inside* a two-argument latencies_from is a
-        real bug and must not be misread as the legacy signature (the
-        retry would double-consume oracle state)."""
-
-        class Buggy(_LegacyRowOracle):
-            calls = 0
-
+        class _RowOnly(_LatencyMsOnly):
             def latencies_from(self, a, members=None):
-                type(self).calls += 1
-                raise TypeError("bug inside the implementation")
+                return self._inner.latencies_from(a, members)
 
-        buggy = Buggy(matrix)
-        with pytest.raises(TypeError, match="bug inside"):
-            batch_latencies_from(buggy, 0, np.array([1, 2]))
-        assert Buggy.calls == 1
+        with pytest.raises(ConfigurationError, match="latency_block"):
+            RandomProbeSearch().build(
+                _RowOnly(MatrixOracle(matrix)), np.arange(8), seed=0
+            )
 
 
 class TestTopologyLatencyMatrix:
@@ -313,7 +295,6 @@ class TestProbeAccounting:
         fast.build(MatrixOracle(matrix), members, seed=3)
         slow = BeaconSearch(n_beacons=4, probe_budget=3)
         slow.build(_ScalarOnly(MatrixOracle(matrix)), members, seed=3)
-        slow._probe_oracle = _ScalarOnly(MatrixOracle(matrix))
         a = fast.query(9, seed=4)
         b = slow.query(9, seed=4)
         assert a.found == b.found
@@ -360,6 +341,10 @@ class TestEngineSampledLoopRegression:
 
 
 class TestPipelineBatchFlagEquivalence:
+    """The studies' bulk true-RTT and route precomputation, pinned bit
+    for bit (the goldens were recorded while the per-pair path still
+    existed and agreed with them)."""
+
     @pytest.fixture(scope="class")
     def internet(self):
         config = InternetConfig(
@@ -371,18 +356,6 @@ class TestPipelineBatchFlagEquivalence:
             dns_probability_campus=0.8,
         )
         return SyntheticInternet.generate(config, seed=21)
-
-    def test_dns_study_identical_with_and_without_batching(self, internet):
-        batched = DnsStudy(
-            internet, config=DnsStudyConfig(batch_true_latencies=True), seed=5
-        ).run()
-        scalar = DnsStudy(
-            internet, config=DnsStudyConfig(batch_true_latencies=False), seed=5
-        ).run()
-        assert batched.measurements == scalar.measurements
-        assert batched.intra_domain_predicted_10 == scalar.intra_domain_predicted_10
-        assert batched.pairs_discarded_negative == scalar.pairs_discarded_negative
-        assert batched.servers_traced == scalar.servers_traced
 
     def test_dns_study_golden(self, internet, study_digest):
         """The bulk true-latency precomputation leaves every draw where
@@ -416,21 +389,6 @@ class TestPipelineBatchFlagEquivalence:
                         continue
                     expected.add((min(server, other), max(server, other)))
         assert got == sorted(expected)
-
-    def test_azureus_study_identical_with_and_without_batching(self, internet):
-        batched = AzureusStudy(
-            internet, config=AzureusStudyConfig(batch_true_latencies=True), seed=6
-        ).run()
-        scalar = AzureusStudy(
-            internet, config=AzureusStudyConfig(batch_true_latencies=False), seed=6
-        ).run()
-        assert batched.peers_retained == scalar.peers_retained
-        assert [c.peer_ids for c in batched.pruned_clusters] == [
-            c.peer_ids for c in scalar.pruned_clusters
-        ]
-        assert [c.hub_latency_ms for c in batched.unpruned_clusters] == [
-            c.hub_latency_ms for c in scalar.unpruned_clusters
-        ]
 
 
 class TestOffDiagonal:

@@ -14,7 +14,7 @@ from repro.algorithms import (
     KargerRuhlSearch,
     MeridianSearch,
     PicSearch,
-    ProbeOp,
+    ProbeRound,
     RandomProbeSearch,
     TapestrySearch,
     TiersSearch,
@@ -122,15 +122,15 @@ class TestPlanStructure:
             result, rounds = drain_plan(algorithm.query_plan(target, seed=seed))
             multi_round += len(rounds) >= 2
             for batch in rounds:
+                assert isinstance(batch, ProbeRound)
                 assert batch, "plans must not yield empty rounds"
-                for op in batch:
-                    assert isinstance(op, ProbeOp)
-                    assert op.dst == target
-                    assert op.kind == "probe"
-                    assert op.rtt_ms > 0
+                assert batch.srcs.shape == batch.dsts.shape == batch.rtts_ms.shape
+                assert np.all(batch.dsts == target)
+                assert batch.kind == "probe"
+                assert np.all(batch.rtts_ms > 0)
             # The first round is the start node's own probe.
             assert len(rounds[0]) == 1
-            assert rounds[0][0].src == result.path[0]
+            assert rounds[0].srcs[0] == result.path[0]
         # The descent yields a ring sweep beyond the start probe for at
         # least some start nodes.
         assert multi_round >= 1
@@ -215,5 +215,5 @@ class TestLazyMaintenanceThroughPlans:
         blocking = direct.query(target, seed=12)
         planned, rounds = drain_plan(stepped.query_plan(target, seed=12))
         assert_results_identical(blocking, planned)
-        probed = {op.src for batch in rounds for op in batch}
+        probed = {int(src) for batch in rounds for src in batch.srcs}
         assert probed <= set(range(60))  # arrivals not yet indexed

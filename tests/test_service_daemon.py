@@ -7,6 +7,7 @@ from repro.algorithms import (
     BeaconSearch,
     KargerRuhlSearch,
     MeridianSearch,
+    ProbeRound,
     RandomProbeSearch,
 )
 from repro.analysis.compare import format_trial_records, rank_by_time_to_answer
@@ -121,7 +122,8 @@ class TestDaemonBasics:
             try:
                 while True:
                     batch = plan.send(None)
-                    critical_path += max(op.rtt_ms for op in batch)
+                    assert isinstance(batch, ProbeRound)
+                    critical_path += float(batch.rtts_ms.max())
             except StopIteration:
                 pass
             expected.append(critical_path)
